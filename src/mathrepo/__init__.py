@@ -73,6 +73,7 @@ from .records import (
 from .serialize import (
     AggregatedResource,
     Aggregation,
+    DepositError,
     SerializationError,
     from_eprints_xml,
     post_package,

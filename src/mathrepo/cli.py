@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harvest", help="fetch records from configured endpoints into the spool")
     p.add_argument("--endpoint", action="append", default=None, help="restrict to named endpoints")
-    p.add_argument("--delay", type=float, default=0.0, help="seconds between page requests")
+    p.add_argument("--delay", type=float, default=0.0, help="seconds between page fetches")
     p.set_defaults(func=cmd_harvest)
 
     p = sub.add_parser("transform", help="parse spooled envelopes into the canonical store")

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import http.client
 import time
+import urllib.error
 import urllib.parse
+import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from xml.sax.saxutils import escape
 
-import requests
-
 from .errors import MathRepoError
+from .records import _is_http_url
 from .xmlutil import children, descendants, first_child, local_name
 
 SUPPORTED_PREFIXES = ("oai_dc", "junii2")
@@ -56,8 +58,7 @@ class EndpointConfig:
                 f"unsupported metadata prefix {self.metadata_prefix!r}; "
                 f"expected one of {SUPPORTED_PREFIXES}"
             )
-        parsed = urllib.parse.urlparse(self.base_url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        if not _is_http_url(self.base_url):
             raise ValueError(f"base_url must be an absolute HTTP(S) URL: {self.base_url!r}")
 
 
@@ -133,18 +134,21 @@ def _record_from_element(elem: ET.Element) -> OaiRecord:
         raise EnvelopeError(str(exc)) from exc
 
 
+def _records_in(root: ET.Element) -> list[OaiRecord]:
+    if local_name(root.tag) == "record":
+        elems = [root]
+    else:
+        elems = descendants(root, "record")
+    return [_record_from_element(elem) for elem in elems]
+
+
 def parse_oai_envelope(data) -> list[OaiRecord]:
     """Extract every ``<record>`` from an OAI-PMH response or fixture file.
 
     Accepts a full ListRecords envelope, a bare record element, or any
     wrapper containing record elements; namespaces are ignored.
     """
-    root = _parse_xml(data)
-    if local_name(root.tag) == "record":
-        elems = [root]
-    else:
-        elems = descendants(root, "record")
-    return [_record_from_element(elem) for elem in elems]
+    return _records_in(_parse_xml(data))
 
 
 def _serialize_record(rec: OaiRecord) -> str:
@@ -185,23 +189,27 @@ def serialize_envelope(records, resumption_token: str | None = None, response_da
 class HttpTransport:
     """Thin HTTP GET wrapper, one instance per harvested endpoint.
 
-    ``delay`` is the politeness pause between consecutive requests; leave
+    ``delay`` is the politeness pause between consecutive page fetches; leave
     it at 0 for local fixture endpoints.
     """
 
-    def __init__(self, timeout: float = 30.0, delay: float = 0.0, session=None):
+    def __init__(self, timeout: float = 30.0, delay: float = 0.0):
         self.timeout = timeout
         self.delay = delay
-        self._session = session or requests.Session()
         self._fetched = False
 
     def get(self, url: str, params: dict) -> bytes:
         if self._fetched and self.delay > 0:
             time.sleep(self.delay)
         self._fetched = True
-        response = self._session.get(url, params=params, timeout=self.timeout)
-        response.raise_for_status()
-        return response.content
+        sep = "&" if "?" in url else "?"  # keep a query the base URL already carries
+        request_url = url + sep + urllib.parse.urlencode(params)
+        try:
+            with urllib.request.urlopen(request_url, timeout=self.timeout) as response:
+                return response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()  # the error response still holds the connection
+            raise
 
 
 def list_records(endpoint: EndpointConfig, transport: HttpTransport | None = None, retries: int = 2) -> list[OaiRecord]:
@@ -237,15 +245,14 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
                 params["until"] = endpoint.until_date
         else:
             params["resumptionToken"] = token
-        data = _fetch(endpoint, transport, params, page, retries)
-        root = _parse_xml(data)
+        root = _parse_xml(_fetch(endpoint, transport, params, page, retries))
         error = next(iter(descendants(root, "error")), None)
         if error is not None:
             code = error.get("code", "")
             if code == "noRecordsMatch":
                 return list(merged.values())
             raise OaiProtocolError(code, (error.text or "").strip())
-        for rec in parse_oai_envelope(data):
+        for rec in _records_in(root):
             previous = merged.get(rec.identifier)
             if previous is None or parse_datestamp(rec.datestamp) >= parse_datestamp(previous.datestamp):
                 merged[rec.identifier] = rec
@@ -261,7 +268,7 @@ def _fetch(endpoint, transport, params, page, retries) -> bytes:
     for _ in range(retries + 1):
         try:
             return transport.get(endpoint.base_url, params)
-        except (requests.RequestException, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
     raise HarvestError(
         f"endpoint {endpoint.name!r} page {page}: {last_error}"

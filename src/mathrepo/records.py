@@ -64,7 +64,7 @@ def make_record_id(source: str, oai_identifier: str) -> str:
 
 
 def _is_http_url(value: str) -> bool:
-    parsed = urllib.parse.urlparse(value)
+    parsed = urllib.parse.urlsplit(value)
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 
 
@@ -195,29 +195,13 @@ def canonical_from_junii2(rec: Junii2Record, source: str, oai_identifier: str) -
 
 
 def _to_json(rec: CanonicalRecord) -> dict:
-    return {
-        "record_id": rec.record_id,
-        "source": rec.source,
-        "oai_identifier": rec.oai_identifier,
-        "title": rec.title,
-        "creators": [
-            {"family": n.family, "given": n.given, "raw": n.raw} for n in rec.creators
-        ],
-        "publication": rec.publication,
-        "volume": rec.volume,
-        "issue": rec.issue,
-        "pagerange": rec.pagerange,
-        "date": rec.date,
-        "publisher": rec.publisher,
-        "official_url": rec.official_url,
-        "full_text_url": rec.full_text_url,
-        "msc_primary": rec.msc_primary,
-        "msc_secondary": list(rec.msc_secondary),
-        "mr_number": rec.mr_number,
-        "related_urls": [{"url": r.url, "type": r.type} for r in rec.related_urls],
-        "refereed": rec.refereed,
-        "language": rec.language,
-    }
+    # vars() keeps the dataclass field order, which is the store's key order;
+    # dataclasses.asdict gives the same bytes at about four times the cost.
+    return dict(
+        vars(rec),
+        creators=[vars(name) for name in rec.creators],
+        related_urls=[vars(url) for url in rec.related_urls],
+    )
 
 
 def _from_json(data: dict) -> CanonicalRecord:

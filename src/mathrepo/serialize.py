@@ -6,11 +6,11 @@ emit well-formed UTF-8 XML.
 
 from __future__ import annotations
 
+import http.client
 import urllib.parse
+import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-
-import requests
 
 from .errors import MathRepoError
 from .msc import msc_top_level
@@ -32,6 +32,10 @@ ET.register_namespace("xlink", XLINK_NS)
 
 class SerializationError(MathRepoError):
     """Record or aggregation cannot be rendered in the requested format."""
+
+
+class DepositError(MathRepoError):
+    """A package could not be delivered to the deposit URL."""
 
 
 def _document(root: ET.Element) -> str:
@@ -323,14 +327,15 @@ def to_mets(rec: CanonicalRecord) -> str:
 def post_package(package: str | bytes, deposit_url: str, timeout: float = 30.0) -> int:
     """Push a serialized package to a deposit URL with a single HTTP POST.
 
-    Returns the response status code; raises on transport or HTTP errors.
+    Returns the response status code; raises ``DepositError`` on transport
+    or HTTP errors.
     """
     data = package.encode("utf-8") if isinstance(package, str) else package
-    response = requests.post(
-        deposit_url,
-        data=data,
-        headers={"Content-Type": "text/xml; charset=utf-8"},
-        timeout=timeout,
+    request = urllib.request.Request(
+        deposit_url, data=data, headers={"Content-Type": "text/xml; charset=utf-8"}
     )
-    response.raise_for_status()
-    return response.status_code
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status
+    except (OSError, http.client.HTTPException) as exc:
+        raise DepositError(f"deposit to {deposit_url} failed: {exc}") from exc

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+from http.server import HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,24 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EUCLID_DC = FIXTURES / "euclid_oai_dc.xml"
 OCHANOMIZU_JUNII2 = FIXTURES / "ochanomizu_junii2.xml"
 EPRINTS_ARTICLE = FIXTURES / "eprints_article.xml"
+
+
+# ---------------------------------------------------------------------------
+# Local HTTP servers
+
+@contextmanager
+def serve_handler(handler):
+    """Serve ``handler`` (a BaseHTTPRequestHandler class) on a free local
+    port; yields the server's base URL."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
 
+import mathrepo
 from mathrepo.cli import main
 from mathrepo.fixture_server import serve_fixtures
 from mathrepo.records import load_records, store_records
@@ -14,6 +19,7 @@ from support import (
     OCHANOMIZU_JUNII2,
     classified_record,
     dc_record_xml,
+    serve_handler,
     write_dc_fixture_dir,
 )
 
@@ -184,9 +190,6 @@ class TestEnrichExport:
         assert doc.count('rel="http://www.openarchives.org/ore/terms/aggregates"') == 2
 
     def test_export_mets_with_deposit_posts_packages(self, tmp_path):
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
         bodies = []
 
         class Handler(BaseHTTPRequestHandler):
@@ -198,17 +201,29 @@ class TestEnrichExport:
             def log_message(self, *args):
                 pass
 
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            config = self.seed_store(tmp_path)
-            url = f"http://127.0.0.1:{server.server_address[1]}/deposit"
+        config = self.seed_store(tmp_path)
+        with serve_handler(Handler) as base_url:
+            url = f"{base_url}/deposit"
             assert run(config, "export", "--format", "mets", "--deposit-url", url) == 0
-        finally:
-            server.shutdown()
-            server.server_close()
         assert len(bodies) == 2
         assert all(b.startswith(b"<?xml") for b in bodies)
+
+    def test_failed_deposit_exits_one_naming_url_and_status(self, tmp_path, caplog):
+        class RefusingHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(500)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        config = self.seed_store(tmp_path)
+        with serve_handler(RefusingHandler) as base_url:
+            url = f"{base_url}/deposit"
+            assert run(config, "export", "--format", "mets", "--deposit-url", url) == 1
+        assert url in caplog.text and "500" in caplog.text
 
     def test_export_reruns_byte_identical(self, tmp_path):
         config = self.seed_store(tmp_path)
@@ -274,3 +289,18 @@ class TestServeFixturesCommand:
         text = parser.format_help()
         for name in ("harvest", "transform", "enrich", "export", "stats", "hits", "serve-fixtures"):
             assert name in text
+
+
+def test_import_does_not_load_requests():
+    # The runtime depends on numpy alone; HTTP goes through urllib.
+    src = str(Path(mathrepo.__file__).resolve().parents[1])
+    probe = "import sys, mathrepo, mathrepo.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Envelope parsing, serialization round-trips, and fixture-endpoint paging."""
 
+from http.server import BaseHTTPRequestHandler
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from mathrepo.oai_client import (
     serialize_envelope,
 )
 
-from support import EUCLID_DC, OCHANOMIZU_JUNII2, write_dc_fixture_dir
+from support import EUCLID_DC, OCHANOMIZU_JUNII2, serve_handler, write_dc_fixture_dir
 
 
 def endpoint_for(server, prefix="oai_dc", **kwargs):
@@ -153,6 +155,15 @@ class TestFixtureServerPaging:
             second = list_records(endpoint_for(server))
         assert first == second
 
+    def test_base_url_query_is_kept(self, tmp_path):
+        identifiers = write_dc_fixture_dir(tmp_path, count=3)
+        with serve_fixtures(tmp_path, page_size=2) as server:
+            endpoint = EndpointConfig(
+                name="fixture", base_url=f"{server.base_url}?site=math", metadata_prefix="oai_dc"
+            )
+            records = list_records(endpoint)
+        assert [r.identifier for r in records] == identifiers
+
     def test_date_filtering(self, tmp_path):
         write_dc_fixture_dir(tmp_path, count=6)  # datestamps 2009-01-01 .. 2009-01-06
         with serve_fixtures(tmp_path, page_size=2) as server:
@@ -173,6 +184,29 @@ class TestFixtureServerPaging:
         )
         with pytest.raises(HarvestError, match="offline.*page 1"):
             list_records(endpoint, HttpTransport(timeout=0.2), retries=0)
+
+    def test_truncated_page_is_harvest_error_after_retries(self):
+        paths = []
+
+        class TruncatingHandler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                paths.append(self.path)
+                self.send_response(200)
+                self.send_header("Content-Type", "text/xml; charset=utf-8")
+                self.send_header("Content-Length", "1000")
+                self.end_headers()
+                self.wfile.write(b"<OAI-PMH>")  # 9 of the 1000 promised bytes
+
+            def log_message(self, *args):
+                pass
+
+        with serve_handler(TruncatingHandler) as base_url:
+            endpoint = EndpointConfig(
+                name="truncated", base_url=f"{base_url}/oai", metadata_prefix="oai_dc"
+            )
+            with pytest.raises(HarvestError, match="truncated.*page 1"):
+                list_records(endpoint, HttpTransport(timeout=5), retries=2)
+        assert len(paths) == 3
 
     def test_protocol_error_raises(self, tmp_path):
         write_dc_fixture_dir(tmp_path, count=2)

@@ -1,6 +1,7 @@
 """Canonicalization and the line-delimited record store."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,14 @@ class TestStore:
             fh.write("{not json\n")
         with pytest.raises(StoreError, match=":2"):
             load_records(path)
+
+    def test_unknown_key_loads_in_strict_mode(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical()], path)
+        line = json.loads(path.read_text(encoding="utf-8"))
+        line["added_later"] = "x"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert load_records(path) == [euclid_canonical()]
 
     def test_append_dedupes_keeping_latest(self, tmp_path):
         path = tmp_path / "store.jsonl"

@@ -1,8 +1,7 @@
 """EPrints XML, ORE Atom, and METS serializer contracts."""
 
-import threading
 import xml.etree.ElementTree as ET
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from mathrepo.serialize import (
 )
 from mathrepo.xmlutil import descendants, local_name
 
-from support import EPRINTS_ARTICLE, canonical_records, make_record
+from support import EPRINTS_ARTICLE, canonical_records, make_record, serve_handler
 
 
 def horie_record():
@@ -262,16 +261,9 @@ class TestDeposit:
             def log_message(self, *args):
                 pass
 
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            package = to_mets(make_record())
-            url = f"http://127.0.0.1:{server.server_address[1]}/deposit"
-            status = post_package(package, url)
-        finally:
-            server.shutdown()
-            server.server_close()
+        package = to_mets(make_record())
+        with serve_handler(Handler) as base_url:
+            status = post_package(package, f"{base_url}/deposit")
         assert status == 201
         assert received["body"].decode("utf-8") == package
         assert "text/xml" in received["content_type"]
