@@ -18,7 +18,7 @@ from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .oai_client import HttpTransport, list_records, parse_oai_envelope, serialize_envelope
 from .parsers import parse_junii2, parse_oai_dc
-from .records import canonical_from_dc, canonical_from_junii2, load_records, store_records
+from .records import _is_http_url, canonical_from_dc, canonical_from_junii2, load_records, store_records
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -195,6 +195,8 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
 
 
 def cmd_export(args, config: PipelineConfig) -> int:
+    if args.deposit_url and not _is_http_url(args.deposit_url):
+        raise UsageError(f"--deposit-url must be an absolute http(s) URL: {args.deposit_url!r}")
     records = sorted(_load_store(config), key=lambda rec: rec.record_id)
     if not records:
         log.warning("store is empty; nothing to export")
@@ -270,6 +272,14 @@ def cmd_hits(args, config: PipelineConfig) -> int:
         max_iter=args.max_iter,
         convention=args.convention,
     )
+    for entry in series.entries:
+        result = entry.hits
+        if not result.converged or result.degenerate:
+            log.warning(
+                "hits window starting %d is unreliable: converged=%s, degenerate=%s "
+                "(%d iterations, residual %.3g)",
+                entry.year, result.converged, result.degenerate, result.iterations, result.residual,
+            )
     nodes = [n.strip() for n in args.nodes.split(",") if n.strip()] if args.nodes else None
     if not any(entry.nodes for entry in series.entries) and not nodes:
         print("hits: no classified records in the requested windows")

@@ -11,25 +11,12 @@ import csv
 import re
 import string
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import MathRepoError
-from .msc import is_msc_code, msc_top_level  # re-exported: msc_top_level
+from .msc import is_msc_code
 from .records import CanonicalRecord, RelatedUrl
-
-__all__ = [
-    "MrTableError",
-    "MatchKey",
-    "MrEntry",
-    "EnrichReport",
-    "normalize_journal",
-    "make_match_key",
-    "load_mr_table",
-    "enrich",
-    "msc_top_level",
-    "REVIEW_URL_PREFIX",
-]
 
 REVIEW_URL_PREFIX = "http://www.ams.org/mathscinet-getitem?mr="
 
@@ -67,7 +54,6 @@ class MrEntry:
     mr_number: int
     msc_primary: str
     msc_secondary: tuple[str, ...]
-    match_key: MatchKey
 
     def __post_init__(self):
         if self.mr_number <= 0:
@@ -123,7 +109,6 @@ def load_mr_table(path) -> dict[MatchKey, MrEntry]:
                     mr_number=int(mr_number),
                     msc_primary=primary,
                     msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
-                    match_key=key,
                 )
             except ValueError as exc:
                 raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
@@ -139,7 +124,6 @@ class EnrichReport:
     matched: int = 0
     unmatched: int = 0
     skipped: int = 0
-    diagnostics: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         return f"{self.matched} matched, {self.unmatched} unmatched, {self.skipped} skipped"
@@ -179,7 +163,6 @@ def enrich(
         key = make_match_key(rec)
         if key is None:
             report.skipped += 1
-            report.diagnostics.append(f"{rec.record_id}: no publication/year, skipped")
             out.append(rec)
             continue
         entry = table.get(key)

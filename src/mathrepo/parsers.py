@@ -76,8 +76,27 @@ def _as_element(payload) -> ET.Element:
     raise TypeError(f"payload must be XML text or an Element, not {type(payload)!r}")
 
 
+def _collect(payload, lists: dict[str, str], scalars: dict[str, str]) -> dict:
+    """Walk the payload once, mapping element local names to record fields.
+
+    List fields collect every value in source order; a scalar field keeps
+    its first value. Text is whitespace-collapsed; elements without text are skipped.
+    """
+    found: dict = {name: [] for name in lists.values()}
+    for node in _as_element(payload).iter():
+        name = local_name(node.tag)
+        text = collapse_ws(node.text)
+        if not text:
+            continue
+        if name in lists:
+            found[lists[name]].append(text)
+        elif name in scalars:
+            found.setdefault(scalars[name], text)
+    return found
+
+
 _DC_LISTS = {"creator": "creators", "subject": "subjects", "identifier": "identifiers"}
-_DC_SCALARS = ("title", "publisher", "date", "type", "format", "language", "rights")
+_DC_SCALARS = {n: n for n in ("title", "publisher", "date", "type", "format", "language", "rights")}
 
 
 def parse_oai_dc(payload) -> DcRecord:
@@ -86,37 +105,16 @@ def parse_oai_dc(payload) -> DcRecord:
     Repeated list elements accumulate in source order; repeated scalar
     elements keep the first occurrence. Text is whitespace-collapsed.
     """
-    root = _as_element(payload)
-    lists: dict[str, list[str]] = {name: [] for name in _DC_LISTS.values()}
-    scalars: dict[str, str] = {}
-    for node in root.iter():
-        name = local_name(node.tag)
-        text = collapse_ws(node.text)
-        if not text:
-            continue
-        if name in _DC_LISTS:
-            lists[_DC_LISTS[name]].append(text)
-        elif name in _DC_SCALARS and name not in scalars:
-            scalars[name] = text
-    if "title" not in scalars:
+    found = _collect(payload, _DC_LISTS, _DC_SCALARS)
+    if "title" not in found:
         raise MetadataError("oai_dc payload has no dc:title")
-    if not lists["identifiers"]:
+    if not found["identifiers"]:
         raise MetadataError("oai_dc payload has no dc:identifier")
-    return DcRecord(
-        title=scalars["title"],
-        creators=lists["creators"],
-        subjects=lists["subjects"],
-        publisher=scalars.get("publisher", ""),
-        date=scalars.get("date", ""),
-        type=scalars.get("type", ""),
-        format=scalars.get("format", ""),
-        identifiers=lists["identifiers"],
-        language=scalars.get("language", ""),
-        rights=scalars.get("rights", ""),
-    )
+    return DcRecord(**found)
 
 
-# junii2 element name -> record field, scalars only
+# junii2 element name -> record field
+_JUNII2_LISTS = {"creator": "creators", "format": "formats"}
 _JUNII2_SCALARS = {
     "title": "title",
     "NDC": "ndc",
@@ -138,53 +136,22 @@ _JUNII2_NUMERIC = ("volume", "issue", "spage", "epage")
 
 def parse_junii2(payload) -> Junii2Record:
     """Map junii2 children onto a Junii2Record and validate numeric fields."""
-    root = _as_element(payload)
-    creators: list[str] = []
-    formats: list[str] = []
-    scalars: dict[str, str] = {}
-    for node in root.iter():
-        name = local_name(node.tag)
-        text = collapse_ws(node.text)
-        if not text:
-            continue
-        if name == "creator":
-            creators.append(text)
-        elif name == "format":
-            formats.append(text)
-        elif name in _JUNII2_SCALARS and _JUNII2_SCALARS[name] not in scalars:
-            scalars[_JUNII2_SCALARS[name]] = text
-    if "title" not in scalars:
+    found = _collect(payload, _JUNII2_LISTS, _JUNII2_SCALARS)
+    if "title" not in found:
         raise MetadataError("junii2 payload has no title")
-    if "uri" not in scalars:
+    if "uri" not in found:
         raise MetadataError("junii2 payload has no URI")
     for key in _JUNII2_NUMERIC:
-        value = scalars.get(key, "")
+        value = found.get(key, "")
         if value and not value.isdigit():
             raise MetadataError(f"junii2 {key} must be digits, got {value!r}")
-    spage, epage = scalars.get("spage", ""), scalars.get("epage", "")
+    spage, epage = found.get("spage", ""), found.get("epage", "")
     if spage and epage and int(spage) > int(epage):
         raise MetadataError(f"junii2 page range inverted: spage {spage} > epage {epage}")
-    issn = scalars.get("issn", "")
+    issn = found.get("issn", "")
     if issn and len(issn.replace("-", "")) != 8:
         raise MetadataError(f"junii2 ISSN must have 8 characters: {issn!r}")
-    return Junii2Record(
-        title=scalars["title"],
-        uri=scalars["uri"],
-        creators=creators,
-        ndc=scalars.get("ndc", ""),
-        publisher=scalars.get("publisher", ""),
-        nii_type=scalars.get("nii_type", ""),
-        formats=formats,
-        full_text_url=scalars.get("full_text_url", ""),
-        issn=issn,
-        ncid=scalars.get("ncid", ""),
-        jtitle=scalars.get("jtitle", ""),
-        volume=scalars.get("volume", ""),
-        issue=scalars.get("issue", ""),
-        spage=spage,
-        epage=epage,
-        date_of_issued=scalars.get("date_of_issued", ""),
-    )
+    return Junii2Record(**found)
 
 
 # Layered citation grammar, applied back to front:
@@ -256,13 +223,23 @@ def parse_citation_string(s: str) -> Citation:
     )
 
 
+def citation_text(journal: str, volume: str, year: int | None, pages: str) -> str:
+    """Render "journal volume (year), pages", leaving out the empty parts.
+
+    ``pages`` is taken as text: a store's pagerange may be a single page
+    or a non-numeric value such as "e123".
+    """
+    out = journal
+    if volume:
+        out = f"{out} {volume}" if out else volume
+    if year is not None:
+        out = f"{out} ({year})" if out else f"({year})"
+    if pages:
+        out = f"{out}, {pages}" if out else pages
+    return out
+
+
 def format_citation(c: Citation) -> str:
     """Canonical rendering "journal volume (year), spage-epage"."""
-    out = c.journal_title
-    if c.volume:
-        out = f"{out} {c.volume}" if out else c.volume
-    if c.year is not None:
-        out = f"{out} ({c.year})" if out else f"({c.year})"
-    if c.spage is not None and c.epage is not None:
-        out = f"{out}, {c.spage}-{c.epage}" if out else f"{c.spage}-{c.epage}"
-    return out
+    pages = f"{c.spage}-{c.epage}" if c.spage is not None and c.epage is not None else ""
+    return citation_text(c.journal_title, c.volume, c.year, pages)

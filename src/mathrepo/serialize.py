@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MathRepoError
 from .msc import msc_top_level
+from .parsers import citation_text
 from .records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
 from .xmlutil import first_child, descendants, local_name
 
@@ -276,17 +277,6 @@ def _dc(parent: ET.Element, tag: str, text: str) -> None:
     ET.SubElement(parent, f"{{{DC_NS}}}{tag}").text = text
 
 
-def _citation_line(rec: CanonicalRecord) -> str:
-    out = rec.publication
-    if rec.volume:
-        out += f" {rec.volume}"
-    if rec.year is not None:
-        out += f" ({rec.year})"
-    if rec.pagerange:
-        out += f", {rec.pagerange}"
-    return out
-
-
 def to_mets(rec: CanonicalRecord) -> str:
     """Render a record as a minimal METS package: header, Dublin Core
     descriptive section, file section (empty without a full-text URL), and
@@ -308,7 +298,7 @@ def to_mets(rec: CanonicalRecord) -> str:
     if rec.date:
         _dc(xml_data, "date", rec.date)
     if rec.publication:
-        _dc(xml_data, "source", _citation_line(rec))
+        _dc(xml_data, "source", citation_text(rec.publication, rec.volume, rec.year, rec.pagerange))
     _dc(xml_data, "identifier", rec.official_url)
     if rec.language:
         _dc(xml_data, "language", rec.language)

@@ -225,6 +225,12 @@ class TestEnrichExport:
             assert run(config, "export", "--format", "mets", "--deposit-url", url) == 1
         assert url in caplog.text and "500" in caplog.text
 
+    def test_malformed_deposit_url_is_usage_error(self, tmp_path, caplog):
+        config = self.seed_store(tmp_path)
+        assert run(config, "export", "--format", "mets", "--deposit-url", "host/sword") == 2
+        assert "host/sword" in caplog.text
+        assert not list((tmp_path / "out").glob("*.mets.xml"))
+
     def test_export_reruns_byte_identical(self, tmp_path):
         config = self.seed_store(tmp_path)
         assert run(config, "export", "--format", "eprints") == 0
@@ -272,6 +278,26 @@ class TestStatsHits:
         assert (out / "hits_series.csv").exists()
         assert (out / "hits_32.svg").exists()
         assert (out / "hits_53.svg").exists()
+
+    def test_hits_warns_once_per_unconverged_window(self, tmp_path, caplog, capsys):
+        config = write_config(tmp_path, endpoints=[])
+        records = [
+            classified_record(1, 1995, "53A35", ["32A10", "14B05"]),
+            classified_record(2, 1996, "32A10", ["14B05"]),
+        ]
+        store_records(records, tmp_path / "records.jsonl")
+        argv = ("hits", "--from", "1990", "--to", "1992")
+        with caplog.at_level("WARNING"):
+            assert run(config, *argv) == 0
+        assert caplog.records == []
+        converged_stdout = capsys.readouterr().out
+        with caplog.at_level("WARNING"):
+            assert run(config, *argv, "--max-iter", "1") == 0
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 3
+        for year, message in zip((1990, 1991, 1992), warnings):
+            assert f"window starting {year}" in message and "converged=False" in message
+        assert capsys.readouterr().out == converged_stdout
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog):
         config = write_config(tmp_path, endpoints=[])

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from mathrepo.enrich import (
     MatchKey,
-    MrEntry,
     MrTableError,
     enrich,
     load_mr_table,
     make_match_key,
-    msc_top_level,
     normalize_journal,
 )
+from mathrepo.msc import msc_top_level
 from mathrepo.records import RelatedUrl
 
 from support import make_record

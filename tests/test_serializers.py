@@ -235,6 +235,21 @@ class TestMets:
         assert len(descendants(root, "structMap")) == 1
         assert len(descendants(root, "div")) == 1
 
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            ({"volume": "1", "date": "1998", "pagerange": "43-46"}, "J. Geom. 1 (1998), 43-46"),
+            ({"date": "1998", "pagerange": "43-46"}, "J. Geom. (1998), 43-46"),
+            ({"volume": "1", "pagerange": "43-46"}, "J. Geom. 1, 43-46"),
+            ({"volume": "1", "date": "1998-05", "pagerange": "9"}, "J. Geom. 1 (1998), 9"),
+        ],
+        ids=["full", "no-volume", "no-year", "single-page"],
+    )
+    def test_source_carries_citation_line(self, fields, expected):
+        root = ET.fromstring(to_mets(make_record(publication="J. Geom.", **fields)))
+        (source,) = descendants(root, "source")
+        assert source.text == expected
+
     @given(canonical_records())
     @settings(max_examples=60)
     def test_well_formed_for_random_records(self, rec):
