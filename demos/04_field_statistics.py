@@ -64,7 +64,7 @@ def main():
     for row in field_share_table(records, totals):
         print(f"  {row.percent:6.2f}  ({row.count}/{row.total})  {row.msc2}")
 
-    graph = build_msc_graph(records, year_range=(2000, 2009))
+    graph = build_msc_graph([rec for rec in records if 2000 <= rec.year <= 2009])
     print(f"\nco-occurrence graph 2000-2009: nodes={graph.nodes}")
     print(f"  total edge weight {graph.total_weight()}")
     result = hits(graph)

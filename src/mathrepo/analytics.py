@@ -117,32 +117,19 @@ class MscGraph:
         return int(self.weights.sum())
 
 
-def build_msc_graph(
-    records: Iterable[CanonicalRecord],
-    year_range: tuple[int, int] | None = None,
-    include_self_loops: bool = True,
-) -> MscGraph:
+def build_msc_graph(records: Iterable[CanonicalRecord]) -> MscGraph:
     """Accumulate one unit of weight per (primary, secondary) code pair.
 
     An article with primary p and secondaries s1..sk adds weight 1 to each
-    edge top(p) -> top(si); articles lacking a primary or having no
-    secondaries contribute nothing. With ``year_range`` only records whose
-    publication year falls inside the closed range participate.
+    edge top(p) -> top(si), self-loops included; articles lacking a primary
+    or having no secondaries contribute nothing.
     """
     pairs: list[tuple[str, str]] = []
     for rec in records:
         if not rec.msc_primary or not rec.msc_secondary:
             continue
-        if year_range is not None:
-            year = rec.year
-            if year is None or not (year_range[0] <= year <= year_range[1]):
-                continue
         src = msc_top_level(rec.msc_primary)
-        for code in rec.msc_secondary:
-            dst = msc_top_level(code)
-            if not include_self_loops and src == dst:
-                continue
-            pairs.append((src, dst))
+        pairs.extend((src, msc_top_level(code)) for code in rec.msc_secondary)
     nodes = sorted({node for pair in pairs for node in pair})
     index = {node: i for i, node in enumerate(nodes)}
     weights = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
@@ -228,7 +215,7 @@ def hits(
         iterations=iterations,
         residual=residual,
         converged=converged,
-        degenerate=_dominant_gap_degenerate(m),
+        degenerate=bool(_dominant_gap_degenerate(m)),
     )
 
 
@@ -274,16 +261,21 @@ def sliding_window_series(
     """Score and rank each year's window.
 
     The entry for year Y is computed from the graph over articles published
-    in [Y, Y+window-1]; nodes absent from a window get no rank that year.
+    in [Y, Y+window-1]; undated articles are in no window, and nodes absent
+    from a window get no rank that year.
     """
     if start_year > end_year:
         raise AnalyticsError(f"start_year {start_year} > end_year {end_year}")
     if window < 1:
         raise AnalyticsError("window must be >= 1")
-    records = list(records)
+    by_year: dict[int, list[CanonicalRecord]] = {}
+    for rec in records:
+        if (y := rec.year) is not None:
+            by_year.setdefault(y, []).append(rec)
     series = WindowSeries(start_year=start_year, end_year=end_year, window=window)
     for year in range(start_year, end_year + 1):
-        graph = build_msc_graph(records, year_range=(year, year + window - 1))
+        members = [r for y, recs in by_year.items() if year <= y < year + window for r in recs]
+        graph = build_msc_graph(members)
         result = hits(graph, tol=tol, max_iter=max_iter, convention=convention)
         hub_scores = dict(zip(graph.nodes, result.hub.tolist()))
         auth_scores = dict(zip(graph.nodes, result.authority.tolist()))

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deposit-url",
         default=None,
-        help="POST each METS package to this URL after writing it",
+        help="POST each METS package to this URL after writing it (--format mets only)",
     )
     p.set_defaults(func=cmd_export)
 
@@ -195,6 +195,8 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
 
 
 def cmd_export(args, config: PipelineConfig) -> int:
+    if args.deposit_url and args.format != "mets":
+        raise UsageError(f"--deposit-url needs --format mets, not {args.format!r}")
     if args.deposit_url and not _is_http_url(args.deposit_url):
         raise UsageError(f"--deposit-url must be an absolute http(s) URL: {args.deposit_url!r}")
     records = sorted(_load_store(config), key=lambda rec: rec.record_id)

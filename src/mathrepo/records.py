@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import urllib.parse
 from dataclasses import dataclass, field
@@ -233,13 +234,18 @@ def _from_json(data: dict) -> CanonicalRecord:
     )
 
 
-def store_records(records: Iterable[CanonicalRecord], path, append: bool = False) -> int:
-    """Write records to a UTF-8 JSON-lines store; returns the count written."""
+def store_records(records: Iterable[CanonicalRecord], path) -> int:
+    """Write records to a UTF-8 JSON-lines store; returns the count written.
+
+    The lines go to ``<path>.tmp``, which then replaces ``path``, so a failed
+    or killed write leaves the old store whole (no fsync: not a power cut).
+    """
     records = list(records)
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(_to_json(rec), ensure_ascii=False) + "\n")
+    os.replace(tmp, path)
     return len(records)
 
 

@@ -1,6 +1,9 @@
 """Share-table arithmetic, graph construction, hub/authority scores, windows."""
 
 import csv
+import dataclasses
+import json
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -115,22 +118,6 @@ class TestGraphConstruction:
         ]
         assert build_msc_graph(records).size == 0
 
-    def test_year_range_filter(self):
-        records = [
-            classified_record(1, 1990, "10", ["11"]),
-            classified_record(2, 1999, "12", ["13"]),
-            classified_record(3, 2000, "14", ["15"]),
-        ]
-        graph = build_msc_graph(records, year_range=(1990, 1999))
-        assert graph.nodes == ["10", "11", "12", "13"]
-
-    def test_self_loops_can_be_excluded(self):
-        records = [classified_record(1, 1998, "53A35", ["53A04", "58E10"])]
-        graph = build_msc_graph(records, include_self_loops=False)
-        assert graph.nodes == ["53", "58"]
-        assert graph.weight("53", "53") == 0
-        assert graph.weight("53", "58") == 1
-
     def test_weight_conservation(self):
         rng = np.random.default_rng(7)
         records = []
@@ -204,6 +191,18 @@ class TestHits:
             ),
         )
         assert hits(graph).degenerate
+
+    def test_flags_are_json_serializable_bools(self):
+        # a three-cycle: M'M is the identity, so the spectrum is degenerate
+        graph = MscGraph(
+            nodes=["10", "20", "30"],
+            weights=np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        )
+        result = hits(graph)
+        assert type(result.converged) is bool and type(result.degenerate) is bool
+        assert result.degenerate
+        flags = {"converged": result.converged, "degenerate": result.degenerate}
+        assert json.loads(json.dumps(flags)) == flags
 
     def test_scale_invariance_excluded_middle(self):
         rng = np.random.default_rng(5)
@@ -303,6 +302,49 @@ class TestSlidingWindows:
         ranks = [entry.auth_rank["40"] for entry in series.entries]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
         assert ranks[-1] == 1
+
+    def test_windows_match_year_range_oracle(self):
+        rng = np.random.default_rng(31)
+        records = []
+        for n in range(400):
+            year = int(rng.integers(1980, 2016))
+            primary = f"{rng.integers(10, 16)}A{rng.integers(10, 99)}"
+            secondaries = [f"{rng.integers(10, 16)}B{rng.integers(10, 99)}"
+                           for _ in range(int(rng.integers(0, 4)))]
+            rec = classified_record(n, year, primary, secondaries)
+            kind = n % 7
+            if kind == 0:
+                rec = dataclasses.replace(rec, date="")  # undated
+            elif kind == 1:
+                rec = dataclasses.replace(rec, msc_primary="")  # unclassified
+            records.append(rec)
+        records = [records[i] for i in rng.permutation(len(records))]
+        for window in (1, 3, 10):
+            series = sliding_window_series(records, 1985, 2010, window=window)
+            assert [e.year for e in series.entries] == list(range(1985, 2011))
+            for entry in series.entries:
+                lo, hi = entry.year, entry.year + window - 1
+                oracle = [r for r in records if r.year is not None and lo <= r.year <= hi]
+                graph = build_msc_graph(oracle)
+                expected = hits(graph)
+                assert entry.nodes == graph.nodes
+                assert np.array_equal(entry.hits.hub, expected.hub)
+                assert np.array_equal(entry.hits.authority, expected.authority)
+
+    def test_huge_window_equals_whole_corpus_window(self):
+        records = [
+            classified_record(n, 1990 + n % 20, f"{10 + n % 5}A05", [f"{11 + n % 3}B05"])
+            for n in range(100)
+        ]
+        started = time.perf_counter()
+        huge = sliding_window_series(records, 1985, 1989, window=10**9)
+        elapsed = time.perf_counter() - started
+        whole = sliding_window_series(records, 1985, 1989, window=25)
+        assert elapsed < 1.0
+        for a, b in zip(huge.entries, whole.entries, strict=True):
+            assert a.nodes == b.nodes and a.nodes
+            assert np.array_equal(a.hits.hub, b.hits.hub)
+            assert np.array_equal(a.hits.authority, b.hits.authority)
 
     def test_invalid_year_order_rejected(self):
         with pytest.raises(AnalyticsError):

@@ -231,6 +231,15 @@ class TestEnrichExport:
         assert "host/sword" in caplog.text
         assert not list((tmp_path / "out").glob("*.mets.xml"))
 
+    @pytest.mark.parametrize("fmt", ["eprints", "ore"])
+    def test_deposit_url_needs_mets(self, tmp_path, caplog, fmt):
+        config = self.seed_store(tmp_path)
+        url = "http://127.0.0.1:9/sword"
+        assert run(config, "export", "--format", fmt, "--deposit-url", url) == 2
+        assert "--format mets" in caplog.text
+        out = tmp_path / "out"
+        assert not out.exists() or not list(out.iterdir())
+
     def test_export_reruns_byte_identical(self, tmp_path):
         config = self.seed_store(tmp_path)
         assert run(config, "export", "--format", "eprints") == 0

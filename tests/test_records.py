@@ -1,6 +1,7 @@
 """Canonicalization and the line-delimited record store."""
 
 import dataclasses
+import errno
 import json
 
 import pytest
@@ -201,11 +202,34 @@ class TestStore:
         path = tmp_path / "store.jsonl"
         original = make_record(title="Old title")
         updated = dataclasses.replace(original, title="New title")
+        later = tmp_path / "later.jsonl"
         store_records([original], path)
-        store_records([updated], path, append=True)
+        store_records([updated], later)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(later.read_text(encoding="utf-8"))
         loaded = load_records(path)
         assert len(loaded) == 1
         assert loaded[0].title == "New title"
+
+    def test_failed_write_keeps_old_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical(), ochanomizu_canonical()], path)
+        before = path.read_bytes()
+        real_dumps = json.dumps
+        calls = []
+
+        def failing_dumps(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr("mathrepo.records.json.dumps", failing_dumps)
+        with pytest.raises(OSError):
+            store_records([make_record(title="Replacement"), euclid_canonical()], path)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == before
 
     @given(st.lists(canonical_records(), max_size=6, unique_by=lambda r: r.record_id))
     @settings(max_examples=60)
