@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .oai_client import HttpTransport, list_records, parse_oai_envelope, serialize_envelope
 from .parsers import parse_junii2, parse_oai_dc
-from .records import _is_http_url, canonical_from_dc, canonical_from_junii2, load_records, store_records
+from .records import _is_http_url, canonical_from_dc, canonical_from_junii2
+from .records import load_records, make_record_id, store_records
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -117,7 +119,7 @@ def _load_store(config: PipelineConfig):
     path = Path(config.store_path)
     if not path.exists():
         return []
-    return load_records(path, lenient=True)
+    return load_records(path)
 
 
 def _write_store(records, config: PipelineConfig) -> int:
@@ -145,8 +147,11 @@ def cmd_harvest(args, config: PipelineConfig) -> int:
             log.error("endpoint %s failed: %s", endpoint.name, exc)
             print(f"{endpoint.name}: FAILED ({exc})")
             continue
+        # write beside the spool file and swap it in, so a failed write keeps the old one
         out_path = spool / f"{endpoint.name}.xml"
-        out_path.write_text(serialize_envelope(records), encoding="utf-8")
+        tmp_path = spool / f"{endpoint.name}.xml.tmp"
+        tmp_path.write_text(serialize_envelope(records), encoding="utf-8")
+        os.replace(tmp_path, out_path)
         print(f"{endpoint.name}: {len(records)} records, 0 errors")
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -164,7 +169,10 @@ def cmd_transform(args, config: PipelineConfig) -> int:
         source = envelope_path.stem
         prefix = prefixes.get(source, "oai_dc")
         for oai_rec in parse_oai_envelope(envelope_path.read_bytes()):
-            if oai_rec.deleted or oai_rec.payload is None:
+            if oai_rec.deleted:
+                merged.pop(make_record_id(source, oai_rec.identifier), None)
+                continue
+            if oai_rec.payload is None:
                 continue
             try:
                 if prefix == "junii2":

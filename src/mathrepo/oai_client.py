@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 from .errors import MathRepoError
 from .records import _is_http_url
-from .xmlutil import children, descendants, first_child, local_name
+from .xmlutil import children, first_child, local_name
 
 SUPPORTED_PREFIXES = ("oai_dc", "junii2")
 
@@ -136,17 +136,19 @@ def _record_from_element(elem: ET.Element) -> OaiRecord:
 
 def _records_in(root: ET.Element) -> list[OaiRecord]:
     if local_name(root.tag) == "record":
-        elems = [root]
-    else:
-        elems = descendants(root, "record")
-    return [_record_from_element(elem) for elem in elems]
+        return [_record_from_element(root)]
+    listing = first_child(root, "ListRecords")
+    if listing is None:
+        raise EnvelopeError(f"<{local_name(root.tag)}> is neither a record nor a ListRecords response")
+    return [_record_from_element(elem) for elem in children(listing, "record")]
 
 
 def parse_oai_envelope(data) -> list[OaiRecord]:
-    """Extract every ``<record>`` from an OAI-PMH response or fixture file.
+    """Extract the records of an OAI-PMH ListRecords response or fixture file.
 
-    Accepts a full ListRecords envelope, a bare record element, or any
-    wrapper containing record elements; namespaces are ignored.
+    Accepts a bare ``<record>`` or a root whose ``ListRecords`` child holds
+    the records; anything else is an ``EnvelopeError``. Namespaces are
+    ignored.
     """
     return _records_in(_parse_xml(data))
 
@@ -246,7 +248,7 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
         else:
             params["resumptionToken"] = token
         root = _parse_xml(_fetch(endpoint, transport, params, page, retries))
-        error = next(iter(descendants(root, "error")), None)
+        error = first_child(root, "error")
         if error is not None:
             code = error.get("code", "")
             if code == "noRecordsMatch":
@@ -256,7 +258,8 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
             previous = merged.get(rec.identifier)
             if previous is None or parse_datestamp(rec.datestamp) >= parse_datestamp(previous.datestamp):
                 merged[rec.identifier] = rec
-        token_elem = next(iter(descendants(root, "resumptionToken")), None)
+        listing = first_child(root, "ListRecords")
+        token_elem = first_child(listing, "resumptionToken") if listing is not None else None
         token = (token_elem.text or "").strip() if token_elem is not None else ""
         if not token:
             return list(merged.values())

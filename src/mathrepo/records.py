@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import urllib.parse
@@ -14,8 +13,6 @@ from typing import Iterable
 from .errors import MathRepoError
 from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, parse_citation_string
-
-log = logging.getLogger(__name__)
 
 _DATE_RE = re.compile(r"^\d{4}(-\d{2})?(-\d{2})?$")
 _DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?")
@@ -249,11 +246,10 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
     return len(records)
 
 
-def load_records(path, lenient: bool = False) -> list[CanonicalRecord]:
+def load_records(path) -> list[CanonicalRecord]:
     """Load a record store, deduplicating by record_id (later lines win).
 
-    In lenient mode malformed lines are skipped with a warning instead of
-    aborting the load.
+    A malformed line is a ``StoreError`` naming the file and line number.
     """
     by_id: dict[str, CanonicalRecord] = {}
     with open(path, encoding="utf-8") as fh:
@@ -264,9 +260,6 @@ def load_records(path, lenient: bool = False) -> list[CanonicalRecord]:
             try:
                 rec = _from_json(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
-                if lenient:
-                    log.warning("skipping malformed record at %s:%d: %s", path, lineno, exc)
-                    continue
                 raise StoreError(f"{path}:{lineno}: {exc}") from exc
             by_id[rec.record_id] = rec
     return list(by_id.values())

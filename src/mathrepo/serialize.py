@@ -16,7 +16,7 @@ from .errors import MathRepoError
 from .msc import msc_top_level
 from .parsers import citation_text
 from .records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
-from .xmlutil import first_child, descendants, local_name
+from .xmlutil import first_child, local_name
 
 EPRINTS_NS = "http://eprints.org/ep2/data/2.0"
 ATOM_NS = "http://www.w3.org/2005/Atom"
@@ -148,17 +148,15 @@ def _text_of(parent: ET.Element, tag: str) -> str:
 def from_eprints_xml(data) -> CanonicalRecord:
     """Read an EPrints XML document back into a CanonicalRecord.
 
-    Platform boilerplate and the derived subjects block are ignored;
-    missing provenance elements default to empty strings.
+    The document is an ``eprint`` element or a root (``eprints``) whose
+    child it is. Platform boilerplate and the derived subjects block are
+    ignored; missing provenance elements default to empty strings.
     """
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise SerializationError(f"malformed EPrints XML: {exc}") from exc
-    if local_name(root.tag) == "eprint":
-        ep = root
-    else:
-        ep = next(iter(descendants(root, "eprint")), None)
+    ep = root if local_name(root.tag) == "eprint" else first_child(root, "eprint")
     if ep is None:
         raise SerializationError("document has no eprint element")
 

@@ -27,11 +27,6 @@ def first_child(elem: ET.Element, name: str) -> ET.Element | None:
     return None
 
 
-def descendants(elem: ET.Element, name: str) -> list[ET.Element]:
-    """All descendants (including ``elem`` itself) with local name ``name``."""
-    return [node for node in elem.iter() if local_name(node.tag) == name]
-
-
 def collapse_ws(text: str | None) -> str:
     """Trim and collapse runs of whitespace to single spaces."""
     if not text:

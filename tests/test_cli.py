@@ -74,6 +74,22 @@ def run(config_path, *argv):
     return main(["--config", str(config_path), *argv])
 
 
+def dc_envelope(*record_xml: str) -> str:
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>'
+        '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><ListRecords>'
+        + "".join(record_xml)
+        + "</ListRecords></OAI-PMH>"
+    )
+
+
+def deleted_record_xml(ident: str) -> str:
+    return (
+        f'<record><header status="deleted"><identifier>{ident}</identifier>'
+        "<datestamp>2009-02-01</datestamp></header></record>"
+    )
+
+
 class TestHarvestTransform:
     def test_pipeline_stores_served_set_idempotently(self, dual_endpoint_env):
         env = dual_endpoint_env
@@ -142,6 +158,126 @@ class TestHarvestTransform:
         assert run(config, "transform") == 0
         records = load_records(tmp_path / "records.jsonl")
         assert [r.oai_identifier for r in records] == ["oai:example.org:ok/1"]
+
+
+    @pytest.mark.parametrize("name", ["error", "resumptionToken", "record"])
+    def test_payload_elements_named_like_protocol_elements(self, tmp_path, name):
+        fixtures = tmp_path / "fixtures"
+        identifiers = write_dc_fixture_dir(fixtures, count=3)
+        first = fixtures / "000.xml"
+        foreign = f'<x:{name} xmlns:x="http://example.org/ext" code="badVerb">abc</x:{name}>'
+        first.write_text(
+            first.read_text(encoding="utf-8").replace("</oai_dc:dc>", foreign + "</oai_dc:dc>"),
+            encoding="utf-8",
+        )
+        with serve_fixtures(fixtures, page_size=2) as server:
+            config = write_config(
+                tmp_path,
+                endpoints=[{"name": "fix", "base_url": server.base_url, "metadata_prefix": "oai_dc"}],
+            )
+            assert run(config, "harvest") == 0
+        assert run(config, "transform") == 0
+        stored = load_records(tmp_path / "records.jsonl")
+        assert sorted(r.oai_identifier for r in stored) == identifiers
+
+    def test_non_oai_page_fails_and_keeps_spool(self, tmp_path):
+        class MaintenanceHandler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                body = (
+                    b'<html xmlns="http://www.w3.org/1999/xhtml"><head><title>Maintenance</title>'
+                    b"</head><body><p>Back soon.</p></body></html>"
+                )
+                self.send_response(200)
+                self.send_header("Content-Type", "application/xhtml+xml")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        previous = dc_envelope(dc_record_xml("oai:x:1"))
+        (spool / "down.xml").write_text(previous, encoding="utf-8")
+        with serve_handler(MaintenanceHandler) as base_url:
+            config = write_config(
+                tmp_path,
+                endpoints=[{"name": "down", "base_url": f"{base_url}/oai", "metadata_prefix": "oai_dc"}],
+            )
+            assert run(config, "harvest") == 1
+        assert (spool / "down.xml").read_text(encoding="utf-8") == previous
+
+    def test_failed_spool_write_keeps_old_spool(self, tmp_path, monkeypatch):
+        fixtures = tmp_path / "fixtures"
+        identifiers = write_dc_fixture_dir(fixtures, count=3)
+        spool_file = tmp_path / "spool" / "fix.xml"
+        with serve_fixtures(fixtures, page_size=2) as server:
+            config = write_config(
+                tmp_path,
+                endpoints=[{"name": "fix", "base_url": server.base_url, "metadata_prefix": "oai_dc"}],
+            )
+            assert run(config, "harvest") == 0
+            before = spool_file.read_bytes()
+            real_serialize = mathrepo.cli.serialize_envelope
+            # a lone surrogate cannot be encoded as UTF-8, so the write fails part-way
+            monkeypatch.setattr(
+                "mathrepo.cli.serialize_envelope", lambda records: real_serialize(records) + "\ud800"
+            )
+            with pytest.raises(UnicodeEncodeError):
+                run(config, "harvest")
+        assert spool_file.read_bytes() == before
+        monkeypatch.undo()
+        assert run(config, "transform") == 0  # a leftover .xml.tmp is never read
+        stored = load_records(tmp_path / "records.jsonl")
+        assert sorted(r.oai_identifier for r in stored) == identifiers
+
+
+class TestDeletions:
+    def transform(self, tmp_path, *record_xml):
+        spool = tmp_path / "spool"
+        spool.mkdir(exist_ok=True)
+        (spool / "src.xml").write_text(dc_envelope(*record_xml), encoding="utf-8")
+        return run(write_config(tmp_path, endpoints=[]), "transform")
+
+    def test_deleted_record_leaves_store(self, tmp_path, capsys):
+        assert self.transform(tmp_path, dc_record_xml("oai:x:1"), dc_record_xml("oai:x:2")) == 0
+        assert self.transform(tmp_path, deleted_record_xml("oai:x:1")) == 0
+        stored = load_records(tmp_path / "records.jsonl")
+        assert [r.oai_identifier for r in stored] == ["oai:x:2"]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "transform: 0 parsed, 0 failed, store has 1 records"
+        )
+
+    def test_deletion_of_unknown_record_is_a_no_op(self, tmp_path):
+        assert self.transform(tmp_path, dc_record_xml("oai:x:1")) == 0
+        before = (tmp_path / "records.jsonl").read_bytes()
+        assert self.transform(tmp_path, deleted_record_xml("oai:x:9")) == 0
+        assert (tmp_path / "records.jsonl").read_bytes() == before
+
+
+class TestMalformedStore:
+    @pytest.mark.parametrize(
+        "argv",
+        [("transform",), ("enrich",), ("export", "--format", "eprints")],
+        ids=["transform", "enrich", "export"],
+    )
+    def test_malformed_line_stops_the_stage(self, tmp_path, caplog, argv):
+        store = tmp_path / "records.jsonl"
+        store_records([classified_record(1, 1998, "", []), classified_record(2, 1999, "", [])], store)
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write('{"record_id": "broken"\n')
+        before = store.read_bytes()
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "src.xml").write_text(dc_envelope(dc_record_xml("oai:x:1")), encoding="utf-8")
+        table = tmp_path / "mr.tsv"
+        table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
+        config = write_config(tmp_path, endpoints=[], mr_table=str(table))
+        assert run(config, *argv) == 1
+        assert f"{store}:3" in caplog.text
+        assert store.read_bytes() == before
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnrichExport:

@@ -20,7 +20,7 @@ from mathrepo.oai_client import (
     serialize_envelope,
 )
 
-from support import EUCLID_DC, OCHANOMIZU_JUNII2, serve_handler, write_dc_fixture_dir
+from support import EUCLID_DC, OCHANOMIZU_JUNII2, dc_record_xml, serve_handler, write_dc_fixture_dir
 
 
 def endpoint_for(server, prefix="oai_dc", **kwargs):
@@ -59,6 +59,34 @@ class TestEnvelopeParsing:
     def test_zero_records(self):
         xml = b'<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><ListRecords/></OAI-PMH>'
         assert parse_oai_envelope(xml) == []
+
+    def test_bare_record(self):
+        (rec,) = parse_oai_envelope(dc_record_xml("oai:x:1"))
+        assert rec.identifier == "oai:x:1"
+        assert "A synthetic article" in rec.payload
+
+    def test_payload_element_named_record_is_not_a_record(self):
+        payload_child = '<x:record xmlns:x="http://example.org/ext">abc</x:record>'
+        xml = (
+            '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><ListRecords>'
+            + dc_record_xml("oai:x:1").replace("</oai_dc:dc>", payload_child + "</oai_dc:dc>")
+            + "</ListRecords></OAI-PMH>"
+        )
+        (rec,) = parse_oai_envelope(xml)
+        assert rec.identifier == "oai:x:1"
+
+    @pytest.mark.parametrize(
+        "xml",
+        [
+            '<html xmlns="http://www.w3.org/1999/xhtml"><body><p>Down for maintenance</p></body></html>',
+            '<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/"><GetRecord>'
+            + dc_record_xml("oai:x:1") + "</GetRecord></OAI-PMH>",
+        ],
+        ids=["xhtml", "get-record"],
+    )
+    def test_neither_record_nor_list_records_is_rejected(self, xml):
+        with pytest.raises(EnvelopeError, match="neither a record nor a ListRecords"):
+            parse_oai_envelope(xml)
 
     def test_deleted_record_has_no_payload(self):
         xml = (

@@ -5,7 +5,7 @@ import errno
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mathrepo.oai_client import parse_oai_envelope
@@ -171,17 +171,6 @@ class TestStore:
         assert store_records([], path) == 0
         assert load_records(path) == []
 
-    def test_corrupt_line_lenient(self, tmp_path, caplog):
-        path = tmp_path / "store.jsonl"
-        store_records([euclid_canonical(), ochanomizu_canonical()], path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines.insert(1, "{not json")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with caplog.at_level("WARNING"):
-            loaded = load_records(path, lenient=True)
-        assert len(loaded) == 2
-        assert any("line" in msg or ":2" in msg for msg in caplog.text.splitlines())
-
     def test_corrupt_line_strict_reports_line_number(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store_records([euclid_canonical()], path)
@@ -232,7 +221,8 @@ class TestStore:
         assert path.read_bytes() == before
 
     @given(st.lists(canonical_records(), max_size=6, unique_by=lambda r: r.record_id))
-    @settings(max_examples=60)
+    # the first text draw in a fresh checkout pays hypothesis's one-off character-table build
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     def test_round_trip_random_records(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("store") / "store.jsonl"
         store_records(records, path)

@@ -18,7 +18,7 @@ from mathrepo.serialize import (
     to_mets,
     to_ore_atom,
 )
-from mathrepo.xmlutil import descendants, local_name
+from mathrepo.xmlutil import local_name
 
 from support import EPRINTS_ARTICLE, canonical_records, make_record, serve_handler
 
@@ -73,7 +73,7 @@ class TestEprintsEmitter:
         assert "<type>MathSciNet</type>" in doc
         root = ET.fromstring(doc)
         subjects = [
-            (item.text or "") for item in descendants(root, "subjects")[0]
+            (item.text or "") for item in root.findall(".//{*}subjects")[0]
         ]
         assert subjects == ["20-xx", "QA"]
 
@@ -87,7 +87,7 @@ class TestEprintsEmitter:
     def test_element_order_matches_platform_layout(self):
         doc = to_eprints_xml(horie_record())
         root = ET.fromstring(doc)
-        eprint = next(iter(descendants(root, "eprint")))
+        eprint = root.find(".//{*}eprint")
         names = [local_name(child.tag) for child in eprint]
         expected_order = [
             "type", "subjects", "publication", "title", "creators_name",
@@ -207,7 +207,7 @@ class TestMets:
 
     def test_descriptive_section_carries_title_and_identifier(self):
         root = ET.fromstring(to_mets(self.maeda_record()))
-        dmd = descendants(root, "dmdSec")[0]
+        dmd = root.findall(".//{*}dmdSec")[0]
         titles = [el.text for el in dmd.iter() if local_name(el.tag) == "title"]
         identifiers = [el.text for el in dmd.iter() if local_name(el.tag) == "identifier"]
         assert "The four-or-more Vertex Theorems in 2-dimensional Space Forms" in titles
@@ -215,13 +215,13 @@ class TestMets:
 
     def test_file_section_empty_without_full_text(self):
         root = ET.fromstring(to_mets(self.maeda_record()))
-        (file_sec,) = descendants(root, "fileSec")
+        (file_sec,) = root.findall(".//{*}fileSec")
         assert len(list(file_sec)) == 0
 
     def test_file_section_references_full_text(self):
         rec = make_record(full_text_url="http://example.org/files/1.pdf")
         root = ET.fromstring(to_mets(rec))
-        locs = descendants(root, "FLocat")
+        locs = root.findall(".//{*}FLocat")
         assert len(locs) == 1
         href = locs[0].get("{http://www.w3.org/1999/xlink}href")
         assert href == "http://example.org/files/1.pdf"
@@ -231,9 +231,9 @@ class TestMets:
         root = ET.fromstring(to_mets(rec))
         assert local_name(root.tag) == "mets"
         assert root.get("OBJID") == rec.record_id
-        assert len(descendants(root, "metsHdr")) == 1
-        assert len(descendants(root, "structMap")) == 1
-        assert len(descendants(root, "div")) == 1
+        assert len(root.findall(".//{*}metsHdr")) == 1
+        assert len(root.findall(".//{*}structMap")) == 1
+        assert len(root.findall(".//{*}div")) == 1
 
     @pytest.mark.parametrize(
         "fields, expected",
@@ -247,7 +247,7 @@ class TestMets:
     )
     def test_source_carries_citation_line(self, fields, expected):
         root = ET.fromstring(to_mets(make_record(publication="J. Geom.", **fields)))
-        (source,) = descendants(root, "source")
+        (source,) = root.findall(".//{*}source")
         assert source.text == expected
 
     @given(canonical_records())
