@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -117,6 +117,32 @@ class MscGraph:
         return int(self.weights.sum())
 
 
+def _window_graphs(
+    records: Iterable[CanonicalRecord], year_of: Callable, first: int, last: int, window: int
+) -> Iterator[MscGraph]:
+    """Yield, for Y = first..last, the graph of the records whose ``year_of`` is in [Y, Y+window-1].
+    Each record's pairs are read once into a running N x N count matrix that moves a year per step."""
+    pairs_by_year: dict[int, list[tuple[str, str]]] = {}
+    for rec in records:
+        if rec.msc_primary and rec.msc_secondary and (y := year_of(rec)) is not None and first <= y < last + window:
+            src = msc_top_level(rec.msc_primary)
+            pairs_by_year.setdefault(y, []).extend((src, msc_top_level(code)) for code in rec.msc_secondary)
+    nodes = sorted({node for pairs in pairs_by_year.values() for pair in pairs for node in pair})
+    index, n = {node: i for i, node in enumerate(nodes)}, len(nodes)
+    positions = {year: np.array([index[src] * n + index[dst] for src, dst in pairs], dtype=np.int64)
+                 for year, pairs in pairs_by_year.items()}
+    counts = np.zeros(n * n, dtype=np.int64)
+    for year, at in positions.items():  # the window before the first: years first-1..first+window-2
+        if first - 1 <= year < first + window - 1:
+            np.add.at(counts, at, 1)
+    for year in range(first, last + 1):
+        np.subtract.at(counts, positions.get(year - 1, []), 1)
+        np.add.at(counts, positions.get(year + window - 1, []), 1)
+        weights = counts.reshape(n, n)  # its nodes are the fields on some edge
+        keep = np.flatnonzero(weights.any(axis=0) | weights.any(axis=1))
+        yield MscGraph(nodes=[nodes[i] for i in keep], weights=weights[np.ix_(keep, keep)])
+
+
 def build_msc_graph(records: Iterable[CanonicalRecord]) -> MscGraph:
     """Accumulate one unit of weight per (primary, secondary) code pair.
 
@@ -124,18 +150,7 @@ def build_msc_graph(records: Iterable[CanonicalRecord]) -> MscGraph:
     edge top(p) -> top(si), self-loops included; articles lacking a primary
     or having no secondaries contribute nothing.
     """
-    pairs: list[tuple[str, str]] = []
-    for rec in records:
-        if not rec.msc_primary or not rec.msc_secondary:
-            continue
-        src = msc_top_level(rec.msc_primary)
-        pairs.extend((src, msc_top_level(code)) for code in rec.msc_secondary)
-    nodes = sorted({node for pair in pairs for node in pair})
-    index = {node: i for i, node in enumerate(nodes)}
-    weights = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
-    for src, dst in pairs:
-        weights[index[src], index[dst]] += 1
-    return MscGraph(nodes=nodes, weights=weights)
+    return next(_window_graphs(records, lambda rec: 0, 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +283,9 @@ def sliding_window_series(
         raise AnalyticsError(f"start_year {start_year} > end_year {end_year}")
     if window < 1:
         raise AnalyticsError("window must be >= 1")
-    by_year: dict[int, list[CanonicalRecord]] = {}
-    for rec in records:
-        if (y := rec.year) is not None:
-            by_year.setdefault(y, []).append(rec)
     series = WindowSeries(start_year=start_year, end_year=end_year, window=window)
-    for year in range(start_year, end_year + 1):
-        members = [r for y, recs in by_year.items() if year <= y < year + window for r in recs]
-        graph = build_msc_graph(members)
+    graphs = _window_graphs(records, lambda rec: rec.year, start_year, end_year, window)
+    for year, graph in zip(range(start_year, end_year + 1), graphs):
         result = hits(graph, tol=tol, max_iter=max_iter, convention=convention)
         hub_scores = dict(zip(graph.nodes, result.hub.tolist()))
         auth_scores = dict(zip(graph.nodes, result.authority.tolist()))

@@ -140,18 +140,18 @@ def cmd_harvest(args, config: PipelineConfig) -> int:
     failures = 0
     for endpoint in endpoints:
         transport = HttpTransport(delay=args.delay)
+        # write beside the spool file and swap it in, so a failed write keeps the old one
+        tmp_path = spool / f"{endpoint.name}.xml.tmp"
         try:
             records = list_records(endpoint, transport)
-        except MathRepoError as exc:
+            tmp_path.write_text(serialize_envelope(records), encoding="utf-8")
+            os.replace(tmp_path, spool / f"{endpoint.name}.xml")
+        except (MathRepoError, OSError, UnicodeError) as exc:
+            tmp_path.unlink(missing_ok=True)
             failures += 1
             log.error("endpoint %s failed: %s", endpoint.name, exc)
             print(f"{endpoint.name}: FAILED ({exc})")
             continue
-        # write beside the spool file and swap it in, so a failed write keeps the old one
-        out_path = spool / f"{endpoint.name}.xml"
-        tmp_path = spool / f"{endpoint.name}.xml.tmp"
-        tmp_path.write_text(serialize_envelope(records), encoding="utf-8")
-        os.replace(tmp_path, out_path)
         print(f"{endpoint.name}: {len(records)} records, 0 errors")
     return EXIT_PARTIAL if failures else EXIT_OK
 

@@ -217,10 +217,10 @@ class HttpTransport:
 def list_records(endpoint: EndpointConfig, transport: HttpTransport | None = None, retries: int = 2) -> list[OaiRecord]:
     """Harvest every record the endpoint exposes, following resumption tokens.
 
-    Duplicate identifiers across pages are deduplicated keeping the latest
-    datestamp (the first occurrence keeps its position). ``noRecordsMatch``
-    yields an empty list; a rejected resumption token triggers one full
-    re-harvest before giving up.
+    Duplicate identifiers across pages are deduplicated keeping the latest datestamp (the
+    first occurrence keeps its position). ``noRecordsMatch`` yields an empty list; a rejected
+    resumption token triggers one full re-harvest before giving up, and a token the endpoint
+    sent before is a ``HarvestError``.
     """
     transport = transport or HttpTransport()
     try:
@@ -234,6 +234,7 @@ def list_records(endpoint: EndpointConfig, transport: HttpTransport | None = Non
 def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[OaiRecord]:
     merged: dict[str, OaiRecord] = {}
     token: str | None = None
+    sent: set[str] = set()  # a token seen twice would page forever
     page = 1
     while True:
         params = {"verb": "ListRecords"}
@@ -263,6 +264,9 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
         token = (token_elem.text or "").strip() if token_elem is not None else ""
         if not token:
             return list(merged.values())
+        if token in sent:
+            raise HarvestError(f"endpoint {endpoint.name!r} page {page}: resumption token {token!r} repeated")
+        sent.add(token)
         page += 1
 
 

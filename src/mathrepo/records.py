@@ -8,6 +8,7 @@ import os
 import re
 import urllib.parse
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable
 
 from .errors import MathRepoError
@@ -234,15 +235,19 @@ def _from_json(data: dict) -> CanonicalRecord:
 def store_records(records: Iterable[CanonicalRecord], path) -> int:
     """Write records to a UTF-8 JSON-lines store; returns the count written.
 
-    The lines go to ``<path>.tmp``, which then replaces ``path``, so a failed
-    or killed write leaves the old store whole (no fsync: not a power cut).
+    The lines go to ``<path>.tmp``, which then replaces ``path``, so a failed or killed write
+    leaves the old store whole (no fsync: not a power cut); a failed one is a ``StoreError``.
     """
     records = list(records)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(_to_json(rec), ensure_ascii=False) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(_to_json(rec), ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except (OSError, UnicodeError) as exc:
+        Path(tmp).unlink(missing_ok=True)
+        raise StoreError(f"cannot write store {path}: {exc}") from exc
     return len(records)
 
 

@@ -263,7 +263,23 @@ def random_record(rng: np.random.Generator, n: int) -> CanonicalRecord:
 
 
 # ---------------------------------------------------------------------------
-# Graph generation and dense eigensolver oracle
+# Graph generation, a plain-loop reference graph and dense eigensolver oracle
+
+def loop_msc_graph(records) -> MscGraph:
+    """Reference co-occurrence graph, one dict update per code pair and no
+    numpy counting: nodes are the sorted fields on some pair."""
+    counts: dict[tuple[str, str], int] = {}
+    for rec in records:
+        if rec.msc_primary and rec.msc_secondary:
+            for code in rec.msc_secondary:
+                pair = (rec.msc_primary[:2], code[:2])
+                counts[pair] = counts.get(pair, 0) + 1
+    nodes = sorted({node for pair in counts for node in pair})
+    weights = np.zeros((len(nodes), len(nodes)), dtype=np.int64)
+    for (src, dst), count in counts.items():
+        weights[nodes.index(src), nodes.index(dst)] = count
+    return MscGraph(nodes=nodes, weights=weights)
+
 
 def random_graph(rng: np.random.Generator, max_nodes: int = 10, max_weight: int = 9) -> MscGraph:
     """Random directed integer-weight graph with at least one edge."""

@@ -26,7 +26,9 @@ from mathrepo.analytics import (
 from support import (
     classified_record,
     dense_dominant_eigenvector,
+    loop_msc_graph,
     random_graph,
+    random_record,
     symmetric_graph,
 )
 
@@ -129,6 +131,14 @@ class TestGraphConstruction:
             records.append(classified_record(n, 1999, primary, secondaries))
             expected += k
         assert build_msc_graph(records).total_weight() == expected
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(5)
+        records = [random_record(rng, n) for n in range(300)]
+        for size in (0, 1, 5, 40, 300):
+            graph, reference = build_msc_graph(records[:size]), loop_msc_graph(records[:size])
+            assert graph.nodes == reference.nodes
+            assert np.array_equal(graph.weights, reference.weights)
 
 
 class TestHits:
@@ -345,6 +355,53 @@ class TestSlidingWindows:
             assert a.nodes == b.nodes and a.nodes
             assert np.array_equal(a.hits.hub, b.hits.hub)
             assert np.array_equal(a.hits.authority, b.hits.authority)
+
+    def assert_matches_oracle(self, records, start_year, end_year, window):
+        series = sliding_window_series(records, start_year, end_year, window=window)
+        assert [e.year for e in series.entries] == list(range(start_year, end_year + 1))
+        for entry in series.entries:
+            hi = entry.year + window - 1
+            oracle = build_msc_graph(r for r in records if r.year is not None and entry.year <= r.year <= hi)
+            expected = hits(oracle)
+            assert entry.nodes == oracle.nodes
+            assert np.array_equal(entry.hits.hub, expected.hub)
+            assert np.array_equal(entry.hits.authority, expected.authority)
+        return series
+
+    def gapped_corpus(self):
+        years = [1990, 1991, 1995, 2003, 2004]  # gaps of 3 and 7 years
+        return [
+            classified_record(n, year, f"{10 + n % 4}A05", [f"{10 + (n * 3 + k) % 5}B05" for k in range(n % 3 + 1)])
+            for n, year in enumerate(y for y in years for _ in range(3))
+        ]
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 10])
+    def test_years_with_gaps(self, window):
+        series = self.assert_matches_oracle(self.gapped_corpus(), 1990, 2004, window)
+        empty = {e.year for e in series.entries if not e.nodes}
+        if window == 1:
+            assert empty == {1992, 1993, 1994, *range(1996, 2003)}
+
+    def test_range_beyond_dated_years(self):
+        series = self.assert_matches_oracle(self.gapped_corpus(), 1975, 2015, 10)
+        by_year = {e.year: e for e in series.entries}
+        assert by_year[1975].nodes == [] and by_year[1980].nodes == []
+        assert by_year[1981].nodes  # the first window reaching 1990
+        assert by_year[2004].nodes and by_year[2005].nodes == [] and by_year[2015].nodes == []
+
+    def test_primary_without_secondaries_gives_no_nodes(self):
+        records = [classified_record(1, 2000, "53A35", []), classified_record(2, 2005, "53A35", ["32A10"])]
+        series = sliding_window_series(records, 2000, 2001, window=2)
+        for entry in series.entries:
+            assert entry.nodes == []
+            assert entry.hits.hub.size == 0 and entry.hits.authority.size == 0
+            assert entry.hub_rank == {} and entry.auth_rank == {}
+
+    def test_invalid_secondary_set_after_construction_raises(self):
+        records = [classified_record(1, 2000, "53A35", ["32A10"]), classified_record(2, 2001, "53A35", ["32A10"])]
+        records[1].msc_secondary = ["32A10", "bogus"]  # bypasses the constructor's check
+        with pytest.raises(ValueError, match="bogus"):
+            sliding_window_series(records, 1995, 2000, window=10)
 
     def test_invalid_year_order_rejected(self):
         with pytest.raises(AnalyticsError):

@@ -1,5 +1,8 @@
 """End-to-end pipeline through the command-line interface."""
 
+import dataclasses
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ import sys
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mathrepo
@@ -224,13 +228,73 @@ class TestHarvestTransform:
             monkeypatch.setattr(
                 "mathrepo.cli.serialize_envelope", lambda records: real_serialize(records) + "\ud800"
             )
-            with pytest.raises(UnicodeEncodeError):
-                run(config, "harvest")
+            assert run(config, "harvest") == 1
         assert spool_file.read_bytes() == before
+        assert not (tmp_path / "spool" / "fix.xml.tmp").exists()
         monkeypatch.undo()
-        assert run(config, "transform") == 0  # a leftover .xml.tmp is never read
+        assert run(config, "transform") == 0
         stored = load_records(tmp_path / "records.jsonl")
         assert sorted(r.oai_identifier for r in stored) == identifiers
+
+    def test_failed_spool_write_fails_only_that_endpoint(self, tmp_path, monkeypatch, capsys):
+        write_dc_fixture_dir(tmp_path / "a", count=2)
+        write_dc_fixture_dir(tmp_path / "b", count=3)
+        real_serialize = mathrepo.cli.serialize_envelope
+        calls = []
+
+        def first_write_fails(records):
+            calls.append(None)
+            return real_serialize(records) + ("\ud800" if len(calls) == 1 else "")
+
+        monkeypatch.setattr("mathrepo.cli.serialize_envelope", first_write_fails)
+        with serve_fixtures(tmp_path / "a", page_size=2) as first, serve_fixtures(tmp_path / "b") as second:
+            config = write_config(
+                tmp_path,
+                endpoints=[
+                    {"name": "first", "base_url": first.base_url, "metadata_prefix": "oai_dc"},
+                    {"name": "second", "base_url": second.base_url, "metadata_prefix": "oai_dc"},
+                ],
+            )
+            assert run(config, "harvest") == 1
+        out = capsys.readouterr().out
+        assert "first: FAILED" in out and "second: 3 records, 0 errors" in out
+        spool = tmp_path / "spool"
+        assert sorted(p.name for p in spool.iterdir()) == ["second.xml"]
+
+    def test_repeated_resumption_token_fails_the_endpoint(self, tmp_path):
+        requests = []
+
+        class LoopingHandler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                requests.append(self.path)
+                # past the cap the page ends the list, so a client that never notices the loop
+                # finishes (and fails the assertions) instead of paging forever
+                token = "<resumptionToken>same</resumptionToken>" if len(requests) < 20 else ""
+                body = dc_envelope(dc_record_xml(f"oai:x:{len(requests)}")).replace(
+                    "</ListRecords>", token + "</ListRecords>"
+                ).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "text/xml")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        previous = dc_envelope(dc_record_xml("oai:x:old"))
+        (spool / "loop.xml").write_text(previous, encoding="utf-8")
+        with serve_handler(LoopingHandler) as base_url:
+            config = write_config(
+                tmp_path,
+                endpoints=[{"name": "loop", "base_url": f"{base_url}/oai", "metadata_prefix": "oai_dc"}],
+            )
+            assert run(config, "harvest") == 1
+        assert len(requests) <= 2
+        assert (spool / "loop.xml").read_text(encoding="utf-8") == previous
+        assert not (spool / "loop.xml.tmp").exists()
 
 
 class TestDeletions:
@@ -256,6 +320,19 @@ class TestDeletions:
         assert (tmp_path / "records.jsonl").read_bytes() == before
 
 
+def stage_inputs(tmp_path):
+    """A two-record store, a one-record spool and a lookup table, enough for
+    transform, enrich and export; returns the store path and the config."""
+    store = tmp_path / "records.jsonl"
+    store_records([classified_record(1, 1998, "", []), classified_record(2, 1999, "", [])], store)
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "src.xml").write_text(dc_envelope(dc_record_xml("oai:x:1")), encoding="utf-8")
+    table = tmp_path / "mr.tsv"
+    table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
+    return store, write_config(tmp_path, endpoints=[], mr_table=str(table))
+
+
 class TestMalformedStore:
     @pytest.mark.parametrize(
         "argv",
@@ -263,21 +340,31 @@ class TestMalformedStore:
         ids=["transform", "enrich", "export"],
     )
     def test_malformed_line_stops_the_stage(self, tmp_path, caplog, argv):
-        store = tmp_path / "records.jsonl"
-        store_records([classified_record(1, 1998, "", []), classified_record(2, 1999, "", [])], store)
+        store, config = stage_inputs(tmp_path)
         with open(store, "a", encoding="utf-8") as fh:
             fh.write('{"record_id": "broken"\n')
         before = store.read_bytes()
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        (spool / "src.xml").write_text(dc_envelope(dc_record_xml("oai:x:1")), encoding="utf-8")
-        table = tmp_path / "mr.tsv"
-        table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
-        config = write_config(tmp_path, endpoints=[], mr_table=str(table))
         assert run(config, *argv) == 1
         assert f"{store}:3" in caplog.text
         assert store.read_bytes() == before
         assert not (tmp_path / "out").exists()
+
+
+class TestFailedStoreWrite:
+    @pytest.mark.parametrize("stage", ["transform", "enrich"])
+    def test_failed_store_write_exits_one(self, tmp_path, monkeypatch, caplog, stage):
+        store, config = stage_inputs(tmp_path)
+        before = store.read_bytes()
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("mathrepo.records.json.dumps", full_disk)
+        assert run(config, stage) == 1
+        monkeypatch.undo()
+        assert f"cannot write store {store}" in caplog.text
+        assert store.read_bytes() == before
+        assert not (tmp_path / "records.jsonl.tmp").exists()
 
 
 class TestEnrichExport:
@@ -387,6 +474,28 @@ class TestEnrichExport:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
 
+FIELDS = ["05", "11", "14", "20", "32", "35", "53", "57", "60", "68", "81", "94"]
+
+# sha256 of each file `hits` writes for the seeded store of
+# test_hits_output_bytes_are_pinned, computed when each window's graph was
+# rebuilt from its records, so the running pair counts must match that rebuild
+HITS_GOLDEN = {
+    "hits_05.svg": "52ceac28bcc4d6164e04801b0f9607235b7ad28c7e36ccffeff771420f7fe461",
+    "hits_11.svg": "5aee9966da33e97abcaeac2682c98f64a157db3989bee612c5b0d3fa6ee2032e",
+    "hits_14.svg": "606de6ee9111b7b8d0ee52dbeddc769f760505a7b1aa04ae8538db7074708c67",
+    "hits_20.svg": "984610b87b5a652db3880fb6fbb02cbfdc8823611ddf0ce3d395fde56c34be86",
+    "hits_32.svg": "102ba7f9cb48e452a1930daaa8005a24d85f784909e26b7ffa09adc853aeaa2e",
+    "hits_35.svg": "20f7023fca15a5123e1d30645286d39ed985b9ba89d69fefc49496da1b6a2f64",
+    "hits_53.svg": "439ed6729d464aa65fa60fa9a9e74676f0502a31e8a41f3c87d85c9611dbce42",
+    "hits_57.svg": "3ca376c44f600b2d68b46f5aa7a6db5c55c8abcf934d73af674b46df718e1a0c",
+    "hits_60.svg": "db4fd0b0f2cfc5dad7cf37b85f022680a410785e929d389086e8e47b7619eee2",
+    "hits_68.svg": "bea48caae26bbe346f022580398457d6d27702f0c28e1b403a654a99b810ce93",
+    "hits_81.svg": "25d6c0fa69bd9dcc3fc2954432eea6b2d1ed3fd1028a9fe6e43b5ba84cbc9f82",
+    "hits_94.svg": "dc929ab66e0fe24434fce65305c7269fb6361a002d9dc0835621daf8e5b07f94",
+    "hits_series.csv": "915c4691957fbd0fddaac724883d4bb92ac1974c5e56ec1012252ff4671640cc",
+}
+
+
 class TestStatsHits:
     def test_stats_reproduces_published_shares(self, tmp_path, capsys):
         from test_analytics import SHARE_TABLE
@@ -443,6 +552,30 @@ class TestStatsHits:
         for year, message in zip((1990, 1991, 1992), warnings):
             assert f"window starting {year}" in message and "converged=False" in message
         assert capsys.readouterr().out == converged_stdout
+
+    def test_hits_output_bytes_are_pinned(self, tmp_path):
+        # 2000 seeded records over 1950-2010 with gapped years, some undated or unclassified
+        rng = np.random.default_rng(2024)
+        years = [y for y in range(1950, 2011) if not (1963 <= y <= 1967 or y in (1981, 1982, 1999))]
+        records = []
+        for n in range(2000):
+            primary = f"{rng.choice(FIELDS)}A{rng.integers(10, 99)}"
+            secondaries = [f"{rng.choice(FIELDS)}B{rng.integers(10, 99)}" for _ in range(rng.integers(0, 4))]
+            rec = classified_record(n, int(rng.choice(years)), primary, secondaries)
+            if n % 17 == 0:
+                rec = dataclasses.replace(rec, date="")
+            elif n % 13 == 0:
+                rec = dataclasses.replace(rec, msc_primary="")
+            records.append(rec)
+        store_records(records, tmp_path / "records.jsonl")
+        config = write_config(tmp_path, endpoints=[])
+        assert run(config, "hits", "--from", "1945", "--to", "2005", "--window", "10") == 0
+        out = tmp_path / "out"
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted([out / "hits_series.csv", *out.glob("hits_*.svg")])
+        }
+        assert digests == HITS_GOLDEN
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog):
         config = write_config(tmp_path, endpoints=[])

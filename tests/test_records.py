@@ -214,11 +214,13 @@ class TestStore:
             return real_dumps(*args, **kwargs)
 
         monkeypatch.setattr("mathrepo.records.json.dumps", failing_dumps)
-        with pytest.raises(OSError):
+        with pytest.raises(StoreError, match="No space left") as raised:
             store_records([make_record(title="Replacement"), euclid_canonical()], path)
         monkeypatch.undo()
+        assert str(path) in str(raised.value)
         assert len(calls) == 2
         assert path.read_bytes() == before
+        assert not (tmp_path / "store.jsonl.tmp").exists()
 
     @given(st.lists(canonical_records(), max_size=6, unique_by=lambda r: r.record_id))
     # the first text draw in a fresh checkout pays hypothesis's one-off character-table build
