@@ -8,6 +8,7 @@ page, and carries its review number plus primary/secondary classification.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 import string
 import unicodedata
@@ -21,12 +22,15 @@ from .records import CanonicalRecord, RelatedUrl
 REVIEW_URL_PREFIX = "http://www.ams.org/mathscinet-getitem?mr="
 
 _PUNCT_TO_SPACE = {ord(ch): " " for ch in string.punctuation}
+_SPAGE_RE = re.compile(r"\d+")
 
 
 class MrTableError(MathRepoError):
     """Lookup table unreadable, duplicated, or malformed."""
 
 
+# a store names few distinct journals, each on many records
+@functools.lru_cache(maxsize=4096)
 def normalize_journal(title: str) -> str:
     """Lowercase, ASCII-fold foldable characters, strip punctuation,
     collapse whitespace. Non-foldable scripts pass through unchanged."""
@@ -67,10 +71,8 @@ def make_match_key(rec: CanonicalRecord) -> MatchKey | None:
     """Key for a record, or None when publication or year is missing."""
     if not rec.publication or rec.year is None:
         return None
-    spage = ""
-    match = re.match(r"(\d+)", rec.pagerange)
-    if match:
-        spage = match.group(1)
+    match = _SPAGE_RE.match(rec.pagerange)
+    spage = match.group() if match else ""
     return MatchKey(
         journal_norm=normalize_journal(rec.publication),
         volume=rec.volume.strip(),
@@ -130,12 +132,20 @@ class EnrichReport:
 
 
 def _apply_entry(rec: CanonicalRecord, entry: MrEntry) -> CanonicalRecord:
+    """``rec`` with ``entry`` applied; ``rec`` itself when it already carries it."""
+    review = RelatedUrl(url=f"{REVIEW_URL_PREFIX}{entry.mr_number}", type="MathSciNet")
+    if (
+        rec.mr_number == entry.mr_number
+        and rec.msc_primary == entry.msc_primary
+        and all(code in rec.msc_secondary for code in entry.msc_secondary)
+        and review in rec.related_urls
+    ):
+        return rec
     secondary = list(rec.msc_secondary)
     for code in entry.msc_secondary:
         if code not in secondary:
             secondary.append(code)
     related = list(rec.related_urls)
-    review = RelatedUrl(url=f"{REVIEW_URL_PREFIX}{entry.mr_number}", type="MathSciNet")
     if review not in related:
         related.append(review)
     return replace(
@@ -155,7 +165,8 @@ def enrich(
     Matched records gain mr_number, msc_primary, merged-and-deduplicated
     msc_secondary (record's own codes first), and a MathSciNet related URL.
     Unmatched records pass through unchanged; records without a usable key
-    are skipped. Idempotent.
+    are skipped. Idempotent: a record that already carries its entry is
+    passed through as the same object.
     """
     report = EnrichReport()
     out: list[CanonicalRecord] = []

@@ -271,12 +271,16 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
 
 
 def _fetch(endpoint, transport, params, page, retries) -> bytes:
+    """One page, retrying transport failures and 5xx/429 answers; any other
+    HTTP status is final."""
     last_error = None
     for _ in range(retries + 1):
         try:
             return transport.get(endpoint.base_url, params)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
+            if isinstance(exc, urllib.error.HTTPError) and exc.code < 500 and exc.code != 429:
+                break
     raise HarvestError(
         f"endpoint {endpoint.name!r} page {page}: {last_error}"
     ) from last_error

@@ -15,7 +15,7 @@ from .errors import MathRepoError
 from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, parse_citation_string
 
-_DATE_RE = re.compile(r"^\d{4}(-\d{2})?(-\d{2})?$")
+_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?\Z")
 _DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?")
 
 
@@ -62,7 +62,15 @@ def make_record_id(source: str, oai_identifier: str) -> str:
     return digest[:16]
 
 
+# An ASCII value of this shape gets an http(s) scheme and a non-empty netloc from
+# urlsplit, which strips nothing from it and has no brackets to check, so it
+# cannot raise; every other value is left to urlsplit.
+_PLAIN_HTTP_URL_RE = re.compile(r"https?://[^/?#\[\]\t\r\n][^\[\]\t\r\n]*\Z")
+
+
 def _is_http_url(value: str) -> bool:
+    if isinstance(value, str) and value.isascii() and _PLAIN_HTTP_URL_RE.match(value):
+        return True
     parsed = urllib.parse.urlsplit(value)
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 

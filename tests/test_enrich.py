@@ -1,12 +1,16 @@
 """Match-key normalization and lookup-table enrichment."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathrepo.cli import main
 from mathrepo.enrich import (
+    REVIEW_URL_PREFIX,
+    EnrichReport,
     MatchKey,
     MrTableError,
     enrich,
@@ -14,8 +18,8 @@ from mathrepo.enrich import (
     make_match_key,
     normalize_journal,
 )
-from mathrepo.msc import msc_top_level
-from mathrepo.records import RelatedUrl
+from mathrepo.msc import is_msc_code, msc_top_level
+from mathrepo.records import RelatedUrl, store_records
 
 from support import make_record
 
@@ -111,6 +115,16 @@ class TestLoadMrTable:
         with pytest.raises(MrTableError, match="MSC"):
             load_mr_table(path)
 
+    def test_duplicate_key_across_journal_spellings(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text(
+            "J. Example\t1\t1998\t43\t1710269\t53A35\t\n"
+            "J EXAMPLE.\t1\t1998\t43\t1710270\t53A04\t\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MrTableError, match="'j example|1|1998|43' on lines 1 and 2"):
+            load_mr_table(path)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text(
@@ -176,6 +190,76 @@ class TestEnrich:
         twice, _ = enrich(once, table)
         assert once == twice
 
+    def test_rerun_returns_the_same_records(self, tmp_path):
+        records = [
+            maeda_record(),
+            make_record(oai_identifier="oai:x:unmatched", publication="J. Other", date="1998"),
+            make_record(oai_identifier="oai:x:unkeyed", publication="", date=""),
+        ]
+        table = maeda_table(tmp_path)
+        once, first = enrich(records, table)
+        twice, second = enrich(once, table)
+        assert all(a is b for a, b in zip(once, twice)) and len(twice) == len(once)
+        assert second == first == EnrichReport(matched=1, unmatched=1, skipped=1)
+
+    def test_cli_rerun_leaves_store_byte_identical(self, tmp_path):
+        store = tmp_path / "records.jsonl"
+        store_records([maeda_record(), make_record(publication="J. Other", date="1998")], store)
+        maeda_table(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({
+                "store": str(store),
+                "spool_dir": str(tmp_path / "spool"),
+                "output_dir": str(tmp_path / "out"),
+                "endpoints": [],
+                "mr_table": str(tmp_path / "mr_table.tsv"),
+            }),
+            encoding="utf-8",
+        )
+        assert main(["--config", str(config), "enrich"]) == 0
+        enriched = store.read_bytes()
+        assert main(["--config", str(config), "enrich"]) == 0
+        assert store.read_bytes() == enriched
+
+    def test_older_review_link_is_replaced_as_before(self, tmp_path):
+        old_link = RelatedUrl(url=f"{REVIEW_URL_PREFIX}1000001", type="MathSciNet")
+        rec = dataclasses.replace(
+            maeda_record(),
+            mr_number=1000001,
+            msc_primary="53A04",
+            msc_secondary=["53A04"],
+            related_urls=[old_link],
+        )
+        (enriched,), report = enrich([rec], maeda_table(tmp_path))
+        assert enriched is not rec
+        assert enriched.mr_number == 1710269
+        assert enriched.msc_primary == "53A35"
+        assert enriched.msc_secondary == ["53A04"]
+        assert enriched.related_urls == [
+            old_link,
+            RelatedUrl(url=f"{REVIEW_URL_PREFIX}1710269", type="MathSciNet"),
+        ]
+        assert report.matched == 1
+
+    @pytest.mark.parametrize(
+        "undo",
+        [
+            {"msc_primary": "58E10"},
+            {"msc_secondary": []},
+            {"related_urls": []},
+            {"mr_number": None},
+        ],
+        ids=["primary", "secondary", "review-link", "mr-number"],
+    )
+    def test_partly_applied_entry_is_completed(self, tmp_path, undo):
+        table = maeda_table(tmp_path)
+        (full,), _ = enrich([maeda_record()], table)
+        partial = dataclasses.replace(full, **undo)
+        (enriched,), _ = enrich([partial], table)
+        assert enriched is not partial
+        assert enriched == full
+
     def test_bibliographic_fields_untouched(self, tmp_path):
         rec = maeda_record()
         (enriched,), _ = enrich([rec], maeda_table(tmp_path))
@@ -200,3 +284,7 @@ class TestMscTopLevel:
     def test_invalid_code_rejected(self):
         with pytest.raises(ValueError):
             msc_top_level("QA")
+
+    @pytest.mark.parametrize("code", ["53A35\n", "53\n"])
+    def test_trailing_newline_is_not_a_code(self, code):
+        assert not is_msc_code(code)

@@ -236,6 +236,26 @@ class TestFixtureServerPaging:
                 list_records(endpoint, HttpTransport(timeout=5), retries=2)
         assert len(paths) == 3
 
+    @pytest.mark.parametrize("status, requests", [(404, 1), (400, 1), (503, 3), (429, 3)])
+    def test_only_server_errors_are_retried(self, status, requests):
+        paths = []
+
+        class StatusHandler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                paths.append(self.path)
+                self.send_error(status)
+
+            def log_message(self, *args):
+                pass
+
+        with serve_handler(StatusHandler) as base_url:
+            endpoint = EndpointConfig(
+                name="failing", base_url=f"{base_url}/oai", metadata_prefix="oai_dc"
+            )
+            with pytest.raises(HarvestError, match=f"failing.*page 1.*{status}"):
+                list_records(endpoint, HttpTransport(timeout=5), retries=2)
+        assert len(paths) == requests
+
     def test_protocol_error_raises(self, tmp_path):
         write_dc_fixture_dir(tmp_path, count=2)
         with serve_fixtures(tmp_path, page_size=2) as server:

@@ -3,9 +3,11 @@
 import dataclasses
 import errno
 import json
+import re
+import urllib.parse
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mathrepo.oai_client import parse_oai_envelope
@@ -15,6 +17,7 @@ from mathrepo.records import (
     NameParts,
     RecordError,
     StoreError,
+    _is_http_url,
     canonical_from_dc,
     canonical_from_junii2,
     load_records,
@@ -155,6 +158,47 @@ class TestInvariants:
         assert parts.given == "Bartel, Leendert"
 
 
+def _urlsplit_check(value):
+    parsed = urllib.parse.urlsplit(value)
+    return parsed.scheme in ("http", "https") and bool(parsed.netloc)
+
+
+def _verdict(check, value):
+    try:
+        return check(value)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# pieces that move urlsplit's verdict: scheme spellings, delimiters, brackets,
+# the characters it strips, and non-ASCII look-alikes of "%" and "/"
+_URL_PIECES = [
+    "http", "https", "HTTP", "hTtPs", "ftp", "://", ":", "/", "//", "?", "#", "[", "]",
+    "@", "\t", "\r", "\n", " ", "\x00", "％", "／", "é", "h", "t", "p", "s", "S",
+    "example.org", "::1", "[::1]", "%2F", "\u2100",
+]
+
+
+class TestHttpUrlCheck:
+    @given(st.one_of(st.lists(st.sampled_from(_URL_PIECES)).map("".join), st.text()))
+    @settings(max_examples=600, deadline=None)
+    @example("HTTP://example.org/a")
+    @example(" http://example.org/a")
+    @example("\thttp://example.org/a")
+    @example("http://")
+    @example("http:///path")
+    @example("http://[::1]/a")
+    @example("http://[::1/a")
+    @example("http://exa\nmple.org/")
+    @example("http://\n")
+    @example("https://\t/a")
+    @example("http://example.org[")
+    @example("http://example.org/é")
+    @example("http://ex\u2100mple.org/")
+    def test_same_verdict_as_urlsplit(self, value):
+        assert _verdict(_is_http_url, value) == _verdict(_urlsplit_check, value)
+
+
 class TestStore:
     def test_round_trip_fixture_records(self, tmp_path):
         records = [euclid_canonical(), ochanomizu_canonical()]
@@ -177,6 +221,20 @@ class TestStore:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
         with pytest.raises(StoreError, match=":2"):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message", [("date", "2009\n", "date"), ("msc_primary", "53A35\n", "MSC")]
+    )
+    def test_trailing_newline_in_value_names_the_line(self, tmp_path, field, value, message):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical()], path)
+        line = json.loads(path.read_text(encoding="utf-8"))
+        line.update(oai_identifier="oai:x:2", record_id=make_record_id(line["source"], "oai:x:2"))
+        line[field] = value
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(StoreError, match=f"{re.escape(str(path))}:2: .*{message}"):
             load_records(path)
 
     def test_unknown_key_loads_in_strict_mode(self, tmp_path):
