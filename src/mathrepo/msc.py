@@ -2,9 +2,9 @@
 
 import re
 
-# Full codes are two digits, a letter or dash, and two alphanumerics
+# Full codes are two ASCII digits, a letter or dash, and two alphanumerics
 # ("53A35", "20-xx"); the bare two-digit top-level form ("53") is also valid.
-_MSC_CODE_RE = re.compile(r"\d{2}(?:[A-Za-z-][0-9A-Za-z]{2})?\Z")
+_MSC_CODE_RE = re.compile(r"\d{2}(?:[A-Za-z-][0-9A-Za-z]{2})?\Z", re.ASCII)
 
 
 def is_msc_code(code: str) -> bool:

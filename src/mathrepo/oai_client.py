@@ -58,7 +58,7 @@ class EndpointConfig:
                 f"unsupported metadata prefix {self.metadata_prefix!r}; "
                 f"expected one of {SUPPORTED_PREFIXES}"
             )
-        if not _is_http_url(self.base_url):
+        if not (isinstance(self.base_url, str) and _is_http_url(self.base_url)):
             raise ValueError(f"base_url must be an absolute HTTP(S) URL: {self.base_url!r}")
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import re
 import urllib.parse
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable
 
@@ -15,8 +17,8 @@ from .errors import MathRepoError
 from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, parse_citation_string
 
-_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?\Z")
-_DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?")
+_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?\Z", re.ASCII)
+_DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?", re.ASCII)
 
 
 class RecordError(MathRepoError):
@@ -37,7 +39,10 @@ class NameParts:
     raw: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if not self.raw:
+        family, given, raw = self.family, self.given, self.raw
+        if not (isinstance(family, str) and isinstance(given, str) and isinstance(raw, str)):
+            raise RecordError(f"name parts must be strings: {family!r}, {given!r}, {raw!r}")
+        if not raw:
             object.__setattr__(self, "raw", self.display())
 
     def display(self) -> str:
@@ -55,6 +60,10 @@ class RelatedUrl:
     url: str
     type: str = ""
 
+    def __post_init__(self):
+        if not (isinstance(self.url, str) and isinstance(self.type, str)):
+            raise RecordError(f"related URL and type must be strings: {self.url!r}, {self.type!r}")
+
 
 def make_record_id(source: str, oai_identifier: str) -> str:
     """Stable internal id derived from the harvest source and OAI identifier."""
@@ -69,10 +78,17 @@ _PLAIN_HTTP_URL_RE = re.compile(r"https?://[^/?#\[\]\t\r\n][^\[\]\t\r\n]*\Z")
 
 
 def _is_http_url(value: str) -> bool:
-    if isinstance(value, str) and value.isascii() and _PLAIN_HTTP_URL_RE.match(value):
+    if value.isascii() and _PLAIN_HTTP_URL_RE.match(value):
         return True
     parsed = urllib.parse.urlsplit(value)
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
+
+
+_STR_FIELDS = (
+    "record_id", "source", "oai_identifier", "title", "publication", "volume", "issue",
+    "pagerange", "date", "publisher", "official_url", "full_text_url", "msc_primary", "language",
+)
+_str_values = operator.attrgetter(*_STR_FIELDS)
 
 
 @dataclass
@@ -100,6 +116,22 @@ class CanonicalRecord:
     language: str = ""
 
     def __post_init__(self):
+        # the store encoder writes each field as its declared type, so check them all
+        try:
+            "".join(_str_values(self))  # one pass in C: str.join takes nothing but str
+        except TypeError:
+            name = next(n for n in _STR_FIELDS if not isinstance(getattr(self, n), str))
+            raise RecordError(f"{name} must be a string: {getattr(self, name)!r}") from None
+        if not isinstance(self.msc_secondary, list):
+            raise RecordError(f"msc_secondary must be a list: {self.msc_secondary!r}")
+        if not isinstance(self.refereed, bool):
+            raise RecordError(f"refereed must be true or false: {self.refereed!r}")
+        mr = self.mr_number
+        if mr is not None:
+            if isinstance(mr, bool) or not isinstance(mr, int):
+                raise RecordError(f"mr_number must be an integer or null: {mr!r}")
+            if mr <= 0:
+                raise RecordError(f"mr_number must be positive: {mr}")
         if self.record_id != make_record_id(self.source, self.oai_identifier):
             raise RecordError(
                 f"record_id {self.record_id!r} does not derive from "
@@ -112,10 +144,8 @@ class CanonicalRecord:
         if self.date and not _DATE_RE.match(self.date):
             raise RecordError(f"date must be YYYY[-MM[-DD]]: {self.date!r}")
         for code in [self.msc_primary, *self.msc_secondary]:
-            if code and not is_msc_code(code):
+            if not isinstance(code, str) or code and not is_msc_code(code):
                 raise RecordError(f"invalid MSC code on record: {code!r}")
-        if self.mr_number is not None and self.mr_number <= 0:
-            raise RecordError(f"mr_number must be positive: {self.mr_number}")
 
     @property
     def year(self) -> int | None:
@@ -201,13 +231,33 @@ def canonical_from_junii2(rec: Junii2Record, source: str, oai_identifier: str) -
     )
 
 
-def _to_json(rec: CanonicalRecord) -> dict:
-    # vars() keeps the dataclass field order, which is the store's key order;
-    # dataclasses.asdict gives the same bytes at about four times the cost.
-    return dict(
-        vars(rec),
-        creators=[vars(name) for name in rec.creators],
-        related_urls=[vars(url) for url in rec.related_urls],
+_q = encode_basestring  # quotes and escapes a str as json.dumps(..., ensure_ascii=False) does
+
+
+def _name_json(name: NameParts) -> str:
+    return f'{{"family": {_q(name.family)}, "given": {_q(name.given)}, "raw": {_q(name.raw)}}}'
+
+
+def _url_json(url: RelatedUrl) -> str:
+    return f'{{"url": {_q(url.url)}, "type": {_q(url.type)}}}'
+
+
+def _to_line(rec: CanonicalRecord) -> str:
+    """One store line: the fields in dataclass order, the same text as
+    ``json.dumps(dataclasses.asdict(rec), ensure_ascii=False)``. That holds
+    because ``CanonicalRecord`` checks that every field has its declared type."""
+    mr = "null" if rec.mr_number is None else int.__repr__(rec.mr_number)
+    return (
+        f'{{"record_id": {_q(rec.record_id)}, "source": {_q(rec.source)}, '
+        f'"oai_identifier": {_q(rec.oai_identifier)}, "title": {_q(rec.title)}, '
+        f'"creators": [{", ".join(map(_name_json, rec.creators))}], '
+        f'"publication": {_q(rec.publication)}, "volume": {_q(rec.volume)}, '
+        f'"issue": {_q(rec.issue)}, "pagerange": {_q(rec.pagerange)}, "date": {_q(rec.date)}, '
+        f'"publisher": {_q(rec.publisher)}, "official_url": {_q(rec.official_url)}, '
+        f'"full_text_url": {_q(rec.full_text_url)}, "msc_primary": {_q(rec.msc_primary)}, '
+        f'"msc_secondary": [{", ".join(map(_q, rec.msc_secondary))}], "mr_number": {mr}, '
+        f'"related_urls": [{", ".join(map(_url_json, rec.related_urls))}], '
+        f'"refereed": {"true" if rec.refereed else "false"}, "language": {_q(rec.language)}}}'
     )
 
 
@@ -230,7 +280,7 @@ def _from_json(data: dict) -> CanonicalRecord:
         official_url=data.get("official_url", ""),
         full_text_url=data.get("full_text_url", ""),
         msc_primary=data.get("msc_primary", ""),
-        msc_secondary=list(data.get("msc_secondary", [])),
+        msc_secondary=data.get("msc_secondary", []),
         mr_number=data.get("mr_number"),
         related_urls=[
             RelatedUrl(url=r["url"], type=r.get("type", "")) for r in data.get("related_urls", [])
@@ -251,7 +301,7 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for rec in records:
-                fh.write(json.dumps(_to_json(rec), ensure_ascii=False) + "\n")
+                fh.write(_to_line(rec) + "\n")
         os.replace(tmp, path)
     except (OSError, UnicodeError) as exc:
         Path(tmp).unlink(missing_ok=True)

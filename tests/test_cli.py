@@ -349,6 +349,17 @@ class TestMalformedStore:
         assert store.read_bytes() == before
         assert not (tmp_path / "out").exists()
 
+    def test_value_of_wrong_type_stops_enrich(self, tmp_path, caplog):
+        store, config = stage_inputs(tmp_path)
+        line = json.loads(store.read_text(encoding="utf-8").splitlines()[0])
+        line["official_url"] = 5
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        before = store.read_bytes()
+        assert run(config, "enrich") == 1
+        assert f"{store}:3: official_url must be a string" in caplog.text
+        assert store.read_bytes() == before
+
 
 class TestFailedStoreWrite:
     @pytest.mark.parametrize("stage", ["transform", "enrich"])
@@ -359,7 +370,7 @@ class TestFailedStoreWrite:
         def full_disk(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("mathrepo.records.json.dumps", full_disk)
+        monkeypatch.setattr("mathrepo.records._to_line", full_disk)
         assert run(config, stage) == 1
         monkeypatch.undo()
         assert f"cannot write store {store}" in caplog.text

@@ -288,3 +288,10 @@ class TestMscTopLevel:
     @pytest.mark.parametrize("code", ["53A35\n", "53\n"])
     def test_trailing_newline_is_not_a_code(self, code):
         assert not is_msc_code(code)
+
+    # Arabic-Indic and fullwidth digits are Unicode decimal digits, not MSC digits
+    @pytest.mark.parametrize("code", ["\u0665\u0663A35", "\u0665\u0663", "\uff15\uff13A35"])
+    def test_non_ascii_digits_are_not_a_code(self, code):
+        assert not is_msc_code(code)
+        with pytest.raises(ValueError):
+            msc_top_level(code)

@@ -36,6 +36,10 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match="absolute"):
             EndpointConfig(name="x", base_url="example.org/oai", metadata_prefix="oai_dc")
 
+    def test_rejects_non_string_url(self):
+        with pytest.raises(ValueError, match="absolute"):
+            EndpointConfig(name="x", base_url=5, metadata_prefix="oai_dc")
+
 
 class TestEnvelopeParsing:
     def test_euclid_record_header(self):

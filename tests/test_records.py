@@ -16,8 +16,10 @@ from mathrepo.records import (
     CanonicalRecord,
     NameParts,
     RecordError,
+    RelatedUrl,
     StoreError,
     _is_http_url,
+    _to_line,
     canonical_from_dc,
     canonical_from_junii2,
     load_records,
@@ -26,7 +28,7 @@ from mathrepo.records import (
     store_records,
 )
 
-from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, make_record
+from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, make_record, msc_codes
 
 
 def euclid_canonical():
@@ -97,6 +99,17 @@ class TestCanonicalFromDc:
         rec = canonical_from_dc(dc, "src", "oai:x:1")
         assert rec.msc_secondary == ["53A35"]
 
+    def test_non_ascii_digits_are_neither_date_nor_msc(self):
+        dc = parse_oai_dc(
+            '<dc xmlns:dc="http://purl.org/dc/elements/1.1/"><dc:title>T</dc:title>'
+            "<dc:date>\u0661\u0669\u0669\u0668-\u0660\u0666</dc:date>"
+            "<dc:subject>\u0665\u0663A35</dc:subject><dc:subject>53A35</dc:subject>"
+            "<dc:identifier>http://example.org/a</dc:identifier></dc>"
+        )
+        rec = canonical_from_dc(dc, "src", "oai:x:1")
+        assert rec.date == "" and rec.year is None
+        assert rec.msc_secondary == ["53A35"]
+
 
 class TestCanonicalFromJunii2:
     def test_ochanomizu_fixture(self):
@@ -152,6 +165,34 @@ class TestInvariants:
         with pytest.raises(RecordError, match="date"):
             make_record(date="December 1995")
 
+    # Arabic-Indic and fullwidth digits are Unicode decimal digits, not date digits
+    @pytest.mark.parametrize("date", ["\u0661\u0669\u0669\u0668", "\uff11\uff19\uff19\uff18-06"])
+    def test_non_ascii_digit_date_rejected(self, date):
+        with pytest.raises(RecordError, match="date"):
+            make_record(date=date)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"title": 7}, "title must be a string"),
+            ({"language": None}, "language must be a string"),
+            ({"msc_secondary": ("53A35",)}, "msc_secondary must be a list"),
+            ({"msc_secondary": [53]}, "MSC"),
+            ({"refereed": 1}, "refereed"),
+            ({"mr_number": 5.0}, "mr_number"),
+            ({"mr_number": True}, "mr_number"),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, changes, message):
+        with pytest.raises(RecordError, match=message):
+            make_record(**changes)
+
+    def test_name_and_url_parts_must_be_strings(self):
+        with pytest.raises(RecordError, match="name parts"):
+            NameParts(family="F", given=None)
+        with pytest.raises(RecordError, match="related URL"):
+            RelatedUrl(url=b"http://example.org/a")
+
     def test_split_name_first_comma_only(self):
         parts = split_name("VAN DER WAERDEN, Bartel, Leendert")
         assert parts.family == "VAN DER WAERDEN"
@@ -199,6 +240,75 @@ class TestHttpUrlCheck:
         assert _verdict(_is_http_url, value) == _verdict(_urlsplit_check, value)
 
 
+# characters json.dumps escapes, or could be expected to: quote, backslash, slash,
+# C0 controls, DEL, the JavaScript line separators and a non-BMP character
+_JSON_AWKWARD = [
+    '"', "\\", "/", "\x00", "\b", "\f", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001d400",
+]
+# lone surrogates cannot be UTF-8 encoded, so make_record_id's inputs go without them
+_text = st.text(
+    st.one_of(st.characters(codec="utf-8"), st.sampled_from(_JSON_AWKWARD)), max_size=12
+)
+_wide_text = st.text(
+    st.one_of(st.characters(), st.sampled_from([*_JSON_AWKWARD, "\ud800", "\udfff"])), max_size=12
+)
+
+
+@st.composite
+def wide_records(draw):
+    source, ident = draw(_text), draw(_text)
+    return CanonicalRecord(
+        record_id=make_record_id(source, ident),
+        source=source,
+        oai_identifier=ident,
+        title=draw(_wide_text.filter(bool)),
+        creators=draw(
+            st.lists(st.builds(NameParts, _wide_text, _wide_text, _wide_text), max_size=3)
+        ),
+        publication=draw(_wide_text),
+        volume=draw(_wide_text),
+        issue=draw(_wide_text),
+        pagerange=draw(_wide_text),
+        date=draw(st.sampled_from(["", "1998", "1998-06", "1998-06-15"])),
+        publisher=draw(_wide_text),
+        official_url=draw(_wide_text.map(lambda s: f"http://example.org/{s}")),
+        full_text_url=draw(_wide_text),
+        msc_primary=draw(st.one_of(st.just(""), msc_codes)),
+        msc_secondary=draw(st.lists(msc_codes, max_size=3)),
+        mr_number=draw(st.one_of(st.none(), st.integers(1, 10**40))),
+        related_urls=draw(st.lists(st.builds(RelatedUrl, _wide_text, _wide_text), max_size=3)),
+        refereed=draw(st.booleans()),
+        language=draw(_wide_text),
+    )
+
+
+class TestLineEncoder:
+    @given(wide_records())
+    # the first text draw in a fresh checkout pays hypothesis's one-off character-table build
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(
+        make_record(
+            title="".join(_JSON_AWKWARD) + "\ud800",
+            creators=[NameParts(family="\udfff", given="\u2028")],
+            msc_secondary=["53A35", "20-xx"],
+            mr_number=10**30,
+            related_urls=[RelatedUrl(url="/\\", type='"')],
+            refereed=False,
+        )
+    )
+    def test_same_text_as_json_dumps(self, rec):
+        assert _to_line(rec) == json.dumps(dataclasses.asdict(rec), ensure_ascii=False)
+
+
+def append_edited_line(path, field, value):
+    """Append the store's first line under a new identifier, with ``field`` set to ``value``."""
+    line = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    line.update(oai_identifier="oai:x:2", record_id=make_record_id(line["source"], "oai:x:2"))
+    line[field] = value
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+
+
 class TestStore:
     def test_round_trip_fixture_records(self, tmp_path):
         records = [euclid_canonical(), ochanomizu_canonical()]
@@ -229,11 +339,27 @@ class TestStore:
     def test_trailing_newline_in_value_names_the_line(self, tmp_path, field, value, message):
         path = tmp_path / "store.jsonl"
         store_records([euclid_canonical()], path)
-        line = json.loads(path.read_text(encoding="utf-8"))
-        line.update(oai_identifier="oai:x:2", record_id=make_record_id(line["source"], "oai:x:2"))
-        line[field] = value
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(line) + "\n")
+        append_edited_line(path, field, value)
+        with pytest.raises(StoreError, match=f"{re.escape(str(path))}:2: .*{message}"):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("official_url", 5, "official_url must be a string"),
+            ("title", 7, "title must be a string"),
+            ("refereed", 1, "refereed"),
+            ("mr_number", 5.0, "mr_number"),
+            ("msc_secondary", {"53A35": 1}, "msc_secondary"),
+            ("creators", [{"family": 5, "given": "G"}], "name parts"),
+            ("related_urls", [{"url": 5, "type": "doi"}], "related URL"),
+        ],
+        ids=["official_url", "title", "refereed", "mr_number", "msc_secondary", "family", "url"],
+    )
+    def test_value_of_wrong_type_names_the_line(self, tmp_path, field, value, message):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical()], path)
+        append_edited_line(path, field, value)
         with pytest.raises(StoreError, match=f"{re.escape(str(path))}:2: .*{message}"):
             load_records(path)
 
@@ -262,16 +388,15 @@ class TestStore:
         path = tmp_path / "store.jsonl"
         store_records([euclid_canonical(), ochanomizu_canonical()], path)
         before = path.read_bytes()
-        real_dumps = json.dumps
         calls = []
 
-        def failing_dumps(*args, **kwargs):
+        def failing_to_line(rec):
             calls.append(None)
             if len(calls) == 2:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real_dumps(*args, **kwargs)
+            return _to_line(rec)
 
-        monkeypatch.setattr("mathrepo.records.json.dumps", failing_dumps)
+        monkeypatch.setattr("mathrepo.records._to_line", failing_to_line)
         with pytest.raises(StoreError, match="No space left") as raised:
             store_records([make_record(title="Replacement"), euclid_canonical()], path)
         monkeypatch.undo()
