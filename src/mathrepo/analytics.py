@@ -4,15 +4,19 @@ graphs, hub/authority scoring, and sliding-window ranking series."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MathRepoError
 from .msc import msc_top_level
 from .records import CanonicalRecord
+
+# numpy is imported inside the functions that build graphs and score them, so
+# every CLI stage but `hits`, and `serve-fixtures`, starts without it
+if TYPE_CHECKING:
+    import numpy as np
 
 CONVENTIONS = ("source_authority", "target_authority")
 
@@ -122,6 +126,8 @@ def _window_graphs(
 ) -> Iterator[MscGraph]:
     """Yield, for Y = first..last, the graph of the records whose ``year_of`` is in [Y, Y+window-1].
     Each record's pairs are read once into a running N x N count matrix that moves a year per step."""
+    import numpy as np
+
     pairs_by_year: dict[int, list[tuple[str, str]]] = {}
     for rec in records:
         if rec.msc_primary and rec.msc_secondary and (y := year_of(rec)) is not None and first <= y < last + window:
@@ -169,6 +175,8 @@ class HitsResult:
 
 
 def _dominant_gap_degenerate(m: np.ndarray, rel_gap: float = 1e-9) -> bool:
+    import numpy as np
+
     values = np.linalg.eigvalsh(m.T @ m)
     if values.size < 2:
         return False
@@ -196,6 +204,8 @@ def hits(
     the reverse of the usual link-analysis assignment, which
     ``target_authority`` selects instead.
     """
+    import numpy as np
+
     if convention not in CONVENTIONS:
         raise AnalyticsError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     if tol <= 0:
@@ -238,7 +248,7 @@ def rank(scores: Mapping[str, float]) -> dict[str, int]:
     """Dense 1-based ranking, largest score first; ties broken by ascending
     node code (ties consume consecutive ranks)."""
     for node, value in scores.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise AnalyticsError(f"non-finite score for node {node!r}")
     ordered = sorted(scores, key=lambda node: (-scores[node], node))
     return {node: position for position, node in enumerate(ordered, start=1)}

@@ -261,6 +261,13 @@ def _to_line(rec: CanonicalRecord) -> str:
     )
 
 
+def _json_list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if type(value) is not list:
+        raise RecordError(f"{key} must be a list: {value!r}")
+    return value
+
+
 def _from_json(data: dict) -> CanonicalRecord:
     return CanonicalRecord(
         record_id=data["record_id"],
@@ -269,7 +276,7 @@ def _from_json(data: dict) -> CanonicalRecord:
         title=data["title"],
         creators=[
             NameParts(family=n["family"], given=n.get("given", ""), raw=n.get("raw", ""))
-            for n in data.get("creators", [])
+            for n in _json_list(data, "creators")
         ],
         publication=data.get("publication", ""),
         volume=data.get("volume", ""),
@@ -283,7 +290,7 @@ def _from_json(data: dict) -> CanonicalRecord:
         msc_secondary=data.get("msc_secondary", []),
         mr_number=data.get("mr_number"),
         related_urls=[
-            RelatedUrl(url=r["url"], type=r.get("type", "")) for r in data.get("related_urls", [])
+            RelatedUrl(url=r["url"], type=r.get("type", "")) for r in _json_list(data, "related_urls")
         ],
         refereed=data.get("refereed", True),
         language=data.get("language", ""),
@@ -303,7 +310,7 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
             for rec in records:
                 fh.write(_to_line(rec) + "\n")
         os.replace(tmp, path)
-    except (OSError, UnicodeError) as exc:
+    except (OSError, UnicodeError, TypeError) as exc:  # TypeError: a field retyped after construction
         Path(tmp).unlink(missing_ok=True)
         raise StoreError(f"cannot write store {path}: {exc}") from exc
     return len(records)

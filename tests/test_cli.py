@@ -606,16 +606,44 @@ class TestServeFixturesCommand:
             assert name in text
 
 
-def test_import_does_not_load_requests():
-    # The runtime depends on numpy alone; HTTP goes through urllib.
+def _probe(code: str) -> str:
     src = str(Path(mathrepo.__file__).resolve().parents[1])
-    probe = "import sys, mathrepo, mathrepo.cli; print('requests' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["requests", "numpy"])
+def test_import_does_not_load(module):
+    # HTTP goes through urllib, and only `hits` computes with numpy
+    assert _probe(f"import sys, mathrepo, mathrepo.cli; print({module!r} in sys.modules)") == "False"
+
+
+def test_only_hits_loads_numpy(tmp_path):
+    store, config = stage_inputs(tmp_path)
+    store_records([classified_record(1, 1998, "53A35", ["32A10"]), classified_record(2, 1999, "32A10", [])], store)
+    totals = tmp_path / "totals.tsv"
+    totals.write_text("32\t100\n53\t100\n", encoding="utf-8")
+    stages = [
+        ["transform"], ["enrich"], ["export", "--format", "eprints"], ["stats", "--totals", str(totals)],
+        ["hits", "--from", "1998", "--to", "1999"],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from mathrepo.cli import main\n"
+        "seen = []\n"
+        f"for argv in {stages!r}:\n"
+        f"    seen.append([argv[0], main(['--config', {str(config)!r}, *argv]), 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert json.loads(_probe(probe).splitlines()[-1]) == [
+        ["transform", 0, False], ["enrich", 0, False], ["export", 0, False], ["stats", 0, False],
+        ["hits", 0, True],
+    ]
+    assert (tmp_path / "out" / "hits_series.csv").exists()

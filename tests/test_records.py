@@ -353,8 +353,13 @@ class TestStore:
             ("msc_secondary", {"53A35": 1}, "msc_secondary"),
             ("creators", [{"family": 5, "given": "G"}], "name parts"),
             ("related_urls", [{"url": 5, "type": "doi"}], "related URL"),
+            ("creators", "", "creators must be a list"),
+            ("related_urls", {}, "related_urls must be a list"),
         ],
-        ids=["official_url", "title", "refereed", "mr_number", "msc_secondary", "family", "url"],
+        ids=[
+            "official_url", "title", "refereed", "mr_number", "msc_secondary", "family", "url",
+            "creators", "related_urls",
+        ],
     )
     def test_value_of_wrong_type_names_the_line(self, tmp_path, field, value, message):
         path = tmp_path / "store.jsonl"
@@ -402,6 +407,17 @@ class TestStore:
         monkeypatch.undo()
         assert str(path) in str(raised.value)
         assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert not (tmp_path / "store.jsonl.tmp").exists()
+
+    def test_record_retyped_after_construction_keeps_old_store(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical(), ochanomizu_canonical()], path)
+        before = path.read_bytes()
+        retyped = make_record(title="Replacement")
+        retyped.title = 7
+        with pytest.raises(StoreError, match=re.escape(f"cannot write store {path}")):
+            store_records([euclid_canonical(), retyped], path)
         assert path.read_bytes() == before
         assert not (tmp_path / "store.jsonl.tmp").exists()
 
