@@ -80,16 +80,19 @@ def field_share_table(
 def load_totals(path) -> dict[str, int]:
     """Load the world-totals file: tab-separated msc2, world_count."""
     totals: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 2:
-                raise AnalyticsError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                totals[row[0].strip()] = int(row[1])
-            except ValueError as exc:
-                raise AnalyticsError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != 2:
+                    raise AnalyticsError(f"{path}:{lineno}: expected 2 columns")
+                try:
+                    totals[row[0].strip()] = int(row[1])
+                except ValueError as exc:
+                    raise AnalyticsError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise AnalyticsError(f"{path}: not UTF-8: {exc}") from exc
     return totals
 
 

@@ -7,17 +7,18 @@ Every subcommand is deterministic given fixed inputs.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analytics
-from .config import ConfigError, PipelineConfig, load_config
 from .enrich import enrich as enrich_records, load_mr_table
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
-from .oai_client import HttpTransport, list_records, parse_oai_envelope, serialize_envelope
+from .oai_client import EndpointConfig, HttpTransport, list_records, parse_oai_envelope, serialize_envelope
 from .parsers import parse_junii2, parse_oai_dc
 from .records import _is_http_url, canonical_from_dc, canonical_from_junii2
 from .records import load_records, make_record_id, store_records
@@ -36,9 +37,24 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 
+DEFAULT_CONFIG = "mathrepo.json"
+
 
 class UsageError(MathRepoError):
-    """Bad invocation: missing arguments or empty selections."""
+    """Bad invocation or settings file: missing arguments, empty selections, bad keys or values."""
+
+
+@dataclass
+class PipelineConfig:
+    """The settings file: each field is one of its keys and holds that key's default.
+    A path set to "" is not configured."""
+
+    endpoints: list[EndpointConfig] = field(default_factory=list)
+    store: str = "records.jsonl"
+    spool_dir: str = "spool"
+    mr_table: str = ""
+    totals: str = ""
+    output_dir: str = "out"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mathrepo",
         description="Aggregate subject-repository metadata and compute field statistics.",
     )
-    parser.add_argument("--config", default="mathrepo.json", help="pipeline config file (JSON)")
+    parser.add_argument("--config", default=DEFAULT_CONFIG, help="pipeline config file (JSON)")
     parser.add_argument("--store", default=None, help="override the record store path")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -106,17 +122,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    if Path(args.config).exists():
-        config = load_config(args.config)
-    else:
-        config = PipelineConfig()
-    if args.store:
-        config.store_path = args.store
+    """Read the settings file, then let --store, --mr-table and --totals replace its paths.
+
+    Only the default file may be missing, which leaves every setting at its default.
+    """
+    config = PipelineConfig()
+    if args.config != DEFAULT_CONFIG or Path(args.config).exists():
+        try:
+            config = PipelineConfig(**json.loads(Path(args.config).read_text(encoding="utf-8")))
+            for key, value in vars(config).items():
+                kind = list if key == "endpoints" else str
+                if not isinstance(value, kind):
+                    raise TypeError(f"{key} must be a {kind.__name__}, not {value!r}")
+            config.endpoints = [EndpointConfig(**entry) for entry in config.endpoints]
+        except OSError as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+            raise UsageError(f"config {args.config}: {exc}") from exc
+    for key in ("store", "mr_table", "totals"):  # the flags named after the settings
+        setattr(config, key, getattr(args, key, None) or getattr(config, key))
     return config
 
 
 def _load_store(config: PipelineConfig):
-    path = Path(config.store_path)
+    path = Path(config.store)
     if not path.exists():
         return []
     return load_records(path)
@@ -125,8 +154,8 @@ def _load_store(config: PipelineConfig):
 def _write_store(records, config: PipelineConfig) -> int:
     # Sorted by record_id so reruns produce byte-identical stores.
     ordered = sorted(records, key=lambda rec: rec.record_id)
-    Path(config.store_path).parent.mkdir(parents=True, exist_ok=True)
-    return store_records(ordered, config.store_path)
+    Path(config.store).parent.mkdir(parents=True, exist_ok=True)
+    return store_records(ordered, config.store)
 
 
 def cmd_harvest(args, config: PipelineConfig) -> int:
@@ -191,10 +220,9 @@ def cmd_transform(args, config: PipelineConfig) -> int:
 
 
 def cmd_enrich(args, config: PipelineConfig) -> int:
-    table_path = args.mr_table or config.mr_table_path
-    if not table_path:
+    if not config.mr_table:
         raise UsageError("no lookup table configured; pass --mr-table or set mr_table in the config")
-    table = load_mr_table(table_path)
+    table = load_mr_table(config.mr_table)
     records = _load_store(config)
     enriched, report = enrich_records(records, table)
     _write_store(enriched, config)
@@ -214,19 +242,15 @@ def cmd_export(args, config: PipelineConfig) -> int:
         return EXIT_OK
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format == "eprints":
+    if args.format != "ore":
+        # resolved here, not in a module-level table, so a name patched in this module takes effect
+        render = to_eprints_xml if args.format == "eprints" else to_mets
         for rec in records:
-            (out / f"{rec.record_id}.eprints.xml").write_text(to_eprints_xml(rec), encoding="utf-8")
-        print(f"export: {len(records)} documents")
-    elif args.format == "mets":
-        deposited = 0
-        for rec in records:
-            package = to_mets(rec)
-            (out / f"{rec.record_id}.mets.xml").write_text(package, encoding="utf-8")
+            document = render(rec)
+            (out / f"{rec.record_id}.{args.format}.xml").write_text(document, encoding="utf-8")
             if args.deposit_url:
-                post_package(package, args.deposit_url)
-                deposited += 1
-        suffix = f", {deposited} deposited" if args.deposit_url else ""
+                post_package(document, args.deposit_url)
+        suffix = f", {len(records)} deposited" if args.deposit_url else ""
         print(f"export: {len(records)} documents{suffix}")
     else:
         uri = args.resource_map_uri or f"http://example.org/ore/{args.name}"
@@ -250,10 +274,9 @@ def cmd_export(args, config: PipelineConfig) -> int:
 
 
 def cmd_stats(args, config: PipelineConfig) -> int:
-    totals_path = args.totals or config.totals_path
-    if not totals_path:
+    if not config.totals:
         raise UsageError("no totals file configured; pass --totals or set totals in the config")
-    totals = analytics.load_totals(totals_path)
+    totals = analytics.load_totals(config.totals)
     rows = analytics.field_share_table(_load_store(config), totals)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,10 +346,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except MathRepoError as exc:
+    except (MathRepoError, OSError) as exc:  # an OSError's message names its path
         log.error("%s", exc)
         return EXIT_PARTIAL
 

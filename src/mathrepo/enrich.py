@@ -90,34 +90,37 @@ def load_mr_table(path) -> dict[MatchKey, MrEntry]:
     """
     table: dict[MatchKey, MrEntry] = {}
     first_line: dict[MatchKey, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 7:
-                raise MrTableError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
-            journal, volume, year, spage, mr_number, primary, secondary = (c.strip() for c in row)
-            try:
-                key = MatchKey(normalize_journal(journal), volume, int(year), spage)
-            except ValueError as exc:
-                raise MrTableError(f"{path}:{lineno}: bad year {year!r}") from exc
-            if key in table:
-                raise MrTableError(
-                    f"{path}: duplicate key {key.render()!r} on lines "
-                    f"{first_line[key]} and {lineno}"
-                )
-            try:
-                entry = MrEntry(
-                    mr_number=int(mr_number),
-                    msc_primary=primary,
-                    msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
-                )
-            except ValueError as exc:
-                raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
-            except MrTableError as exc:
-                raise MrTableError(f"{path}:{lineno}: {exc}") from exc
-            table[key] = entry
-            first_line[key] = lineno
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != 7:
+                    raise MrTableError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
+                journal, volume, year, spage, mr_number, primary, secondary = (c.strip() for c in row)
+                try:
+                    key = MatchKey(normalize_journal(journal), volume, int(year), spage)
+                except ValueError as exc:
+                    raise MrTableError(f"{path}:{lineno}: bad year {year!r}") from exc
+                if key in table:
+                    raise MrTableError(
+                        f"{path}: duplicate key {key.render()!r} on lines "
+                        f"{first_line[key]} and {lineno}"
+                    )
+                try:
+                    entry = MrEntry(
+                        mr_number=int(mr_number),
+                        msc_primary=primary,
+                        msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
+                    )
+                except ValueError as exc:
+                    raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
+                except MrTableError as exc:
+                    raise MrTableError(f"{path}:{lineno}: {exc}") from exc
+                table[key] = entry
+                first_line[key] = lineno
+    except UnicodeDecodeError as exc:
+        raise MrTableError(f"{path}: not UTF-8: {exc}") from exc
     return table
 
 

@@ -53,6 +53,11 @@ class EndpointConfig:
     until_date: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"endpoint name must be a non-empty string: {self.name!r}")
+        for key in ("set_spec", "from_date", "until_date"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValueError(f"{key} must be a string or null: {getattr(self, key)!r}")
         if self.metadata_prefix not in SUPPORTED_PREFIXES:
             raise ValueError(
                 f"unsupported metadata prefix {self.metadata_prefix!r}; "

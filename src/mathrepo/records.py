@@ -246,6 +246,8 @@ def _to_line(rec: CanonicalRecord) -> str:
     """One store line: the fields in dataclass order, the same text as
     ``json.dumps(dataclasses.asdict(rec), ensure_ascii=False)``. That holds
     because ``CanonicalRecord`` checks that every field has its declared type."""
+    if type(rec.msc_secondary) is not list or type(rec.refereed) is not bool:
+        raise TypeError(f"msc_secondary or refereed retyped: {rec.msc_secondary!r}, {rec.refereed!r}")
     mr = "null" if rec.mr_number is None else int.__repr__(rec.mr_number)
     return (
         f'{{"record_id": {_q(rec.record_id)}, "source": {_q(rec.source)}, '
@@ -310,7 +312,7 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
             for rec in records:
                 fh.write(_to_line(rec) + "\n")
         os.replace(tmp, path)
-    except (OSError, UnicodeError, TypeError) as exc:  # TypeError: a field retyped after construction
+    except (OSError, UnicodeError, TypeError, AttributeError) as exc:  # last two: a retyped field
         Path(tmp).unlink(missing_ok=True)
         raise StoreError(f"cannot write store {path}: {exc}") from exc
     return len(records)
@@ -319,17 +321,21 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
 def load_records(path) -> list[CanonicalRecord]:
     """Load a record store, deduplicating by record_id (later lines win).
 
-    A malformed line is a ``StoreError`` naming the file and line number.
+    A malformed line is a ``StoreError`` naming the file and line number; bytes
+    that are not UTF-8 are one naming the file.
     """
     by_id: dict[str, CanonicalRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = _from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
-                raise StoreError(f"{path}:{lineno}: {exc}") from exc
-            by_id[rec.record_id] = rec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = _from_json(json.loads(line))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
+                    raise StoreError(f"{path}:{lineno}: {exc}") from exc
+                by_id[rec.record_id] = rec
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: not UTF-8: {exc}") from exc
     return list(by_id.values())

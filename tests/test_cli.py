@@ -378,6 +378,75 @@ class TestFailedStoreWrite:
         assert not (tmp_path / "records.jsonl.tmp").exists()
 
 
+GOOD_ENDPOINT = {"name": "src", "base_url": "http://127.0.0.1:9/oai", "metadata_prefix": "oai_dc"}
+
+
+class TestSettingsAndInputs:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"mr_table": 3},  # once opened as inherited file descriptor 3
+            {"store": 5},
+            {"spool_dir": None},
+            {"mr_tabel": "mr.tsv"},
+            {"endpoints": 5},
+            {"endpoints": ["src"]},
+            {"endpoints": [{**GOOD_ENDPOINT, "from": "2009-01-01"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "name": ""}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "set_spec": 7}]},
+            {"endpoints": [{"name": "src", "metadata_prefix": "oai_dc"}]},
+        ],
+        ids=[
+            "mr_table_int", "store_int", "spool_dir_null", "unknown_key", "endpoints_int",
+            "endpoint_not_object", "endpoint_key_typo", "endpoint_name_empty",
+            "endpoint_set_spec_int", "endpoint_base_url_missing",
+        ],
+    )
+    def test_bad_setting_exits_two_before_writing(self, tmp_path, caplog, settings):
+        (tmp_path / "mr.tsv").write_text("", encoding="utf-8")
+        good = {"endpoints": [GOOD_ENDPOINT], "mr_table": str(tmp_path / "mr.tsv")}
+        config = write_config(tmp_path, **{**good, **settings})
+        assert run(config, "harvest") == 2
+        assert run(config, "enrich") == 2
+        assert f"config {config}:" in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mr.tsv"]
+
+    def test_named_settings_file_must_exist(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mr.tsv").write_text("", encoding="utf-8")
+        assert main(["--config", "typo.json", "enrich", "--mr-table", "mr.tsv"]) == 2
+        assert "typo.json" in caplog.text
+        assert not (tmp_path / "records.jsonl").exists()
+        # only the default file may be missing; then every setting keeps its default
+        assert main(["enrich", "--mr-table", "mr.tsv"]) == 0
+        assert (tmp_path / "records.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "make, argv",
+        [
+            ("absent", ["enrich", "--mr-table", "{}"]),
+            ("absent", ["stats", "--totals", "{}"]),
+            ("directory", ["--store", "{}", "export", "--format", "eprints"]),
+            ("not_utf8", ["--store", "{}", "export", "--format", "eprints"]),
+            ("not_utf8", ["enrich", "--mr-table", "{}"]),
+            ("not_utf8", ["stats", "--totals", "{}"]),
+        ],
+        ids=[
+            "table_absent", "totals_absent", "store_is_directory", "store_not_utf8",
+            "table_not_utf8", "totals_not_utf8",
+        ],
+    )
+    def test_unreadable_input_exits_one_naming_it(self, tmp_path, caplog, make, argv):
+        path = tmp_path / "input"
+        if make == "directory":
+            path.mkdir()
+        elif make == "not_utf8":
+            path.write_bytes("53\t3307\n".encode("latin-1") + b"\xe9\n")
+        config = write_config(tmp_path, endpoints=[])
+        assert run(config, *[str(path) if a == "{}" else a for a in argv]) == 1
+        assert str(path) in caplog.text
+
+
 class TestEnrichExport:
     def seed_store(self, tmp_path) -> Path:
         config = write_config(tmp_path, endpoints=[])

@@ -410,12 +410,17 @@ class TestStore:
         assert path.read_bytes() == before
         assert not (tmp_path / "store.jsonl.tmp").exists()
 
-    def test_record_retyped_after_construction_keeps_old_store(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name, value",
+        [("title", 7), ("creators", ["x"]), ("msc_secondary", "53A35"), ("refereed", "no")],
+        ids=["title", "creators", "msc_secondary", "refereed"],
+    )
+    def test_record_retyped_after_construction_keeps_old_store(self, tmp_path, name, value):
         path = tmp_path / "store.jsonl"
         store_records([euclid_canonical(), ochanomizu_canonical()], path)
         before = path.read_bytes()
         retyped = make_record(title="Replacement")
-        retyped.title = 7
+        setattr(retyped, name, value)
         with pytest.raises(StoreError, match=re.escape(f"cannot write store {path}")):
             store_records([euclid_canonical(), retyped], path)
         assert path.read_bytes() == before
