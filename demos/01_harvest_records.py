@@ -7,7 +7,8 @@ same client talks to real repositories once pointed at their base URL.
 
 from pathlib import Path
 
-from mathrepo import EndpointConfig, HttpTransport, list_records, serve_fixtures
+from mathrepo.fixture_server import serve_fixtures
+from mathrepo.oai_client import EndpointConfig, HttpTransport, list_records
 
 OUT = Path(__file__).resolve().parent.parent / "build" / "demo_harvest"
 FIXTURES = OUT / "fixtures"

@@ -8,15 +8,8 @@ model and round-trip through the line-delimited store.
 
 from pathlib import Path
 
-from mathrepo import (
-    canonical_from_dc,
-    canonical_from_junii2,
-    load_records,
-    parse_citation_string,
-    parse_junii2,
-    parse_oai_dc,
-    store_records,
-)
+from mathrepo.parsers import parse_citation_string, parse_junii2, parse_oai_dc
+from mathrepo.records import canonical_from_dc, canonical_from_junii2, load_records, store_records
 
 OUT = Path(__file__).resolve().parent.parent / "build" / "demo_records"
 

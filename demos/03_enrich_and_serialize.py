@@ -8,17 +8,9 @@ as a METS package ready for deposit.
 
 from pathlib import Path
 
-from mathrepo import (
-    AggregatedResource,
-    Aggregation,
-    enrich,
-    load_mr_table,
-    make_record_id,
-    to_eprints_xml,
-    to_mets,
-    to_ore_atom,
-)
-from mathrepo.records import CanonicalRecord
+from mathrepo.enrich import enrich, load_mr_table
+from mathrepo.records import CanonicalRecord, make_record_id
+from mathrepo.serialize import AggregatedResource, Aggregation, to_eprints_xml, to_mets, to_ore_atom
 
 OUT = Path(__file__).resolve().parent.parent / "build" / "demo_serialize"
 

@@ -11,14 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mathrepo import (
-    build_msc_graph,
-    export_series,
-    field_share_table,
-    hits,
-    rank,
-    sliding_window_series,
-)
+from mathrepo.analytics import build_msc_graph, export_series, field_share_table, hits, rank
+from mathrepo.analytics import sliding_window_series
 from mathrepo.records import CanonicalRecord, make_record_id
 
 OUT = Path(__file__).resolve().parent.parent / "build" / "demo_stats"

@@ -18,10 +18,9 @@ from . import analytics
 from .enrich import enrich as enrich_records, load_mr_table
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
-from .oai_client import EndpointConfig, HttpTransport, list_records, parse_oai_envelope, serialize_envelope
-from .parsers import parse_junii2, parse_oai_dc
-from .records import _is_http_url, canonical_from_dc, canonical_from_junii2
-from .records import load_records, make_record_id, store_records
+from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
+from .oai_client import parse_oai_envelope, serialize_envelope
+from .records import _is_http_url, canonicalize, load_records, make_record_id, store_records
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -141,6 +140,9 @@ def _load_pipeline_config(args) -> PipelineConfig:
             raise UsageError(f"config {args.config}: {exc}") from exc
     for key in ("store", "mr_table", "totals"):  # the flags named after the settings
         setattr(config, key, getattr(args, key, None) or getattr(config, key))
+    for key, value in vars(config).items():
+        if key != "endpoints" and "\0" in value:  # open() would raise ValueError on it
+            raise UsageError(f"config {args.config}: {key} must not hold a NUL: {value!r}")
     return config
 
 
@@ -191,12 +193,10 @@ def cmd_transform(args, config: PipelineConfig) -> int:
     if not envelopes:
         log.error("spool directory %s has no envelopes; run harvest first", spool)
         return EXIT_PARTIAL
-    prefixes = {e.name: e.metadata_prefix for e in config.endpoints}
     merged = {rec.record_id: rec for rec in _load_store(config)}
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
-        prefix = prefixes.get(source, "oai_dc")
         for oai_rec in parse_oai_envelope(envelope_path.read_bytes()):
             if oai_rec.deleted:
                 merged.pop(make_record_id(source, oai_rec.identifier), None)
@@ -204,10 +204,7 @@ def cmd_transform(args, config: PipelineConfig) -> int:
             if oai_rec.payload is None:
                 continue
             try:
-                if prefix == "junii2":
-                    rec = canonical_from_junii2(parse_junii2(oai_rec.payload), source, oai_rec.identifier)
-                else:
-                    rec = canonical_from_dc(parse_oai_dc(oai_rec.payload), source, oai_rec.identifier)
+                rec = canonicalize(oai_rec.payload, source, oai_rec.identifier)
             except MathRepoError as exc:
                 failed += 1
                 log.warning("cannot canonicalize %s: %s", oai_rec.identifier, exc)
@@ -231,6 +228,8 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
 
 
 def cmd_export(args, config: PipelineConfig) -> int:
+    if not is_file_name(args.name):  # it names the ORE file in the output directory
+        raise UsageError(f"--name must be a file name: {args.name!r}")
     if args.deposit_url and args.format != "mets":
         raise UsageError(f"--deposit-url needs --format mets, not {args.format!r}")
     if args.deposit_url and not _is_http_url(args.deposit_url):
@@ -323,6 +322,8 @@ def cmd_hits(args, config: PipelineConfig) -> int:
 
 
 def cmd_serve_fixtures(args, config: PipelineConfig) -> int:
+    if args.page_size < 1:
+        raise UsageError(f"--page-size must be at least 1, not {args.page_size}")
     server = serve_fixtures(args.dir, page_size=args.page_size, port=args.port)
     print(f"serving {len(server.records)} fixture records at {server.base_url}")
     try:

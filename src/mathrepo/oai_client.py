@@ -41,6 +41,12 @@ class EnvelopeError(MathRepoError):
     """Malformed or incomplete OAI-PMH response envelope."""
 
 
+def is_file_name(name: str) -> bool:
+    """Whether ``name`` names an entry of the directory it is joined to: it is not
+    empty, ``.`` or ``..``, and holds no ``/`` or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """One harvested repository: where it lives and how to ask it."""
@@ -53,8 +59,8 @@ class EndpointConfig:
     until_date: str | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and self.name):
-            raise ValueError(f"endpoint name must be a non-empty string: {self.name!r}")
+        if not (isinstance(self.name, str) and is_file_name(self.name)):  # it names the spool file
+            raise ValueError(f"endpoint name must be a file name: {self.name!r}")
         for key in ("set_spec", "from_date", "until_date"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise ValueError(f"{key} must be a string or null: {getattr(self, key)!r}")

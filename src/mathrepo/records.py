@@ -15,7 +15,8 @@ from typing import Iterable
 
 from .errors import MathRepoError
 from .msc import is_msc_code
-from .parsers import Citation, DcRecord, Junii2Record, parse_citation_string
+from .parsers import Citation, DcRecord, Junii2Record, MetadataError, _as_element
+from .parsers import parse_citation_string, parse_junii2, parse_oai_dc
 
 _DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?\Z", re.ASCII)
 _DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?", re.ASCII)
@@ -229,6 +230,21 @@ def canonical_from_junii2(rec: Junii2Record, source: str, oai_identifier: str) -
         official_url=rec.uri,
         full_text_url=rec.full_text_url,
     )
+
+
+def canonicalize(payload, source: str, oai_identifier: str) -> CanonicalRecord:
+    """Canonicalize a metadata payload in the dialect its root element's namespace names.
+
+    An ``oai_dc`` or ``junii2`` root goes to that dialect's parser; any other root is a
+    ``MetadataError``. The parsers are looked up by their module-global names on each call,
+    so a wrapper patched over those names sees every call.
+    """
+    root = _as_element(payload)
+    if root.tag.startswith("{http://www.openarchives.org/OAI/2.0/oai_dc/}"):
+        return canonical_from_dc(parse_oai_dc(root), source, oai_identifier)
+    if root.tag.startswith("{http://ju.nii.ac.jp/junii2}"):
+        return canonical_from_junii2(parse_junii2(root), source, oai_identifier)
+    raise MetadataError(f"payload root {root.tag!r} is neither oai_dc nor junii2")
 
 
 _q = encode_basestring  # quotes and escapes a str as json.dumps(..., ensure_ascii=False) does

@@ -110,6 +110,19 @@ class TestHarvestTransform:
         assert run(env["config"], "transform") == 0
         assert store_path.read_bytes() == first_bytes
 
+    def test_transform_reads_dialect_from_payload_not_settings(self, dual_endpoint_env, capsys):
+        env = dual_endpoint_env
+        assert run(env["config"], "harvest", "--endpoint", "juniifix") == 0
+        settings = json.loads(env["config"].read_text(encoding="utf-8"))
+        settings["endpoints"] = []  # the junii2 endpoint leaves the settings; its spool stays
+        env["config"].write_text(json.dumps(settings), encoding="utf-8")
+        assert run(env["config"], "transform") == 0
+        assert "1 parsed, 0 failed" in capsys.readouterr().out
+        records = load_records(env["tmp_path"] / "records.jsonl")
+        assert [(r.source, r.oai_identifier) for r in records] == [
+            ("juniifix", r.identifier) for r in env["junii2_server"].records
+        ]
+
     def test_partial_failure_sets_exit_code(self, tmp_path):
         fixtures = tmp_path / "fixtures"
         write_dc_fixture_dir(fixtures, count=2)
@@ -395,11 +408,17 @@ class TestSettingsAndInputs:
             {"endpoints": [{**GOOD_ENDPOINT, "name": ""}]},
             {"endpoints": [{**GOOD_ENDPOINT, "set_spec": 7}]},
             {"endpoints": [{"name": "src", "metadata_prefix": "oai_dc"}]},
+            {"store": "a\0b"},
+            {"spool_dir": "a\0b"},
+            {"mr_table": "a\0b"},
+            {"totals": "a\0b"},
+            {"output_dir": "a\0b"},
         ],
         ids=[
             "mr_table_int", "store_int", "spool_dir_null", "unknown_key", "endpoints_int",
             "endpoint_not_object", "endpoint_key_typo", "endpoint_name_empty",
-            "endpoint_set_spec_int", "endpoint_base_url_missing",
+            "endpoint_set_spec_int", "endpoint_base_url_missing", "store_nul", "spool_dir_nul",
+            "mr_table_nul", "totals_nul", "output_dir_nul",
         ],
     )
     def test_bad_setting_exits_two_before_writing(self, tmp_path, caplog, settings):
@@ -410,6 +429,18 @@ class TestSettingsAndInputs:
         assert run(config, "enrich") == 2
         assert f"config {config}:" in caplog.text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mr.tsv"]
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\0b"])
+    def test_name_that_is_not_a_file_name_exits_two(self, tmp_path, caplog, name):
+        # the ORE file and the spool would land in tmp_path itself for "../escaped"
+        _, config = stage_inputs(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(config, "export", "--format", "ore", "--name", name) == 2
+        assert "--name must be a file name" in caplog.text
+        write_config(tmp_path, endpoints=[{**GOOD_ENDPOINT, "name": name}])
+        assert run(config, "harvest") == 2
+        assert "endpoint name must be a file name" in caplog.text
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_named_settings_file_must_exist(self, tmp_path, monkeypatch, caplog):
         monkeypatch.chdir(tmp_path)
@@ -666,6 +697,11 @@ class TestStatsHits:
 
 
 class TestServeFixturesCommand:
+    def test_page_size_below_one_is_usage_error(self, tmp_path, caplog):
+        assert main(["--config", str(write_config(tmp_path, endpoints=[])),
+                     "serve-fixtures", "--dir", str(tmp_path), "--page-size", "0"]) == 2
+        assert "--page-size must be at least 1, not 0" in caplog.text
+
     def test_parser_knows_all_subcommands(self):
         from mathrepo.cli import build_parser
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mathrepo.oai_client import parse_oai_envelope
-from mathrepo.parsers import parse_junii2, parse_oai_dc
+from mathrepo.parsers import MetadataError, parse_junii2, parse_oai_dc
 from mathrepo.records import (
     CanonicalRecord,
     NameParts,
@@ -22,6 +22,7 @@ from mathrepo.records import (
     _to_line,
     canonical_from_dc,
     canonical_from_junii2,
+    canonicalize,
     load_records,
     make_record_id,
     split_name,
@@ -140,6 +141,30 @@ class TestCanonicalFromJunii2:
         )
         rec = canonical_from_junii2(junii2, "src", "oai:x:1")
         assert rec.volume == ""
+
+
+class TestCanonicalize:
+    @pytest.mark.parametrize(
+        "fixture, source, expected",
+        [(EUCLID_DC, "euclid", euclid_canonical), (OCHANOMIZU_JUNII2, "ochanomizu", ochanomizu_canonical)],
+        ids=["oai_dc", "junii2"],
+    )
+    def test_dialect_comes_from_the_root_namespace(self, fixture, source, expected):
+        (oai_rec,) = parse_oai_envelope(fixture.read_bytes())
+        assert canonicalize(oai_rec.payload, source, oai_rec.identifier) == expected()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "<meta><title>T</title><URI>http://example.org/x</URI></meta>",
+            '<dc xmlns="http://purl.org/dc/elements/1.1/"><title>T</title></dc>',
+            '<meta xmlns="http://ju.nii.ac.jp/junii2/"><title>T</title></meta>',
+        ],
+        ids=["no_namespace", "dc_elements", "junii2_trailing_slash"],
+    )
+    def test_other_root_namespace_is_metadata_error(self, payload):
+        with pytest.raises(MetadataError, match="neither oai_dc nor junii2"):
+            canonicalize(payload, "src", "oai:x:1")
 
 
 class TestInvariants:
