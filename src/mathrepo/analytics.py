@@ -4,6 +4,7 @@ graphs, hub/authority scoring, and sliding-window ranking series."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,8 +79,10 @@ def field_share_table(
 
 
 def load_totals(path) -> dict[str, int]:
-    """Load the world-totals file: tab-separated msc2, world_count."""
+    """Load the world-totals file: tab-separated msc2, world_count. A field given
+    twice is an error naming both lines."""
     totals: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
@@ -87,10 +90,16 @@ def load_totals(path) -> dict[str, int]:
                     continue
                 if len(row) != 2:
                     raise AnalyticsError(f"{path}:{lineno}: expected 2 columns")
+                msc2 = row[0].strip()
+                if msc2 in totals:
+                    raise AnalyticsError(
+                        f"{path}: duplicate field {msc2!r} on lines {first_line[msc2]} and {lineno}"
+                    )
                 try:
-                    totals[row[0].strip()] = int(row[1])
+                    totals[msc2] = int(row[1])
                 except ValueError as exc:
                     raise AnalyticsError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
+                first_line[msc2] = lineno
     except UnicodeDecodeError as exc:
         raise AnalyticsError(f"{path}: not UTF-8: {exc}") from exc
     return totals
@@ -211,13 +220,13 @@ def hits(
 
     if convention not in CONVENTIONS:
         raise AnalyticsError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if tol <= 0:
-        raise AnalyticsError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN never converges, and inf "converges" after one sweep
+        raise AnalyticsError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise AnalyticsError(f"max_iter must be >= 1, got {max_iter}")
     n = graph.size
-    if n == 0:
-        return HitsResult(np.zeros(0), np.zeros(0), 0, 0.0)
     m = graph.weights.astype(np.float64)
-    if not m.any():
+    if not m.any():  # no edge, and no node either when n == 0
         return HitsResult(np.zeros(n), np.zeros(n), 0, 0.0)
     x = np.full(n, 1.0 / np.sqrt(n))  # tracks dominant eigenvector of M'M
     y = np.full(n, 1.0 / np.sqrt(n))  # tracks dominant eigenvector of MM'
@@ -337,52 +346,46 @@ def export_series(series: WindowSeries, out_dir, nodes: Sequence[str] | None = N
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_nodes = list(nodes) if nodes else sorted({n for e in series.entries for n in e.nodes})
+    columns = {node: _node_values(series, node) for node in all_nodes}
 
     csv_path = out / "hits_series.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["year", "node", "hub", "authority", "hub_rank", "auth_rank"])
-        for entry in series.entries:
-            index = {node: i for i, node in enumerate(entry.nodes)}
+        for at, entry in enumerate(series.entries):
             for node in all_nodes:
-                if node in index:
-                    i = index[node]
-                    writer.writerow(
-                        [
-                            entry.year,
-                            node,
-                            repr(float(entry.hits.hub[i])),
-                            repr(float(entry.hits.authority[i])),
-                            entry.hub_rank[node],
-                            entry.auth_rank[node],
-                        ]
-                    )
-                else:
+                value = columns[node][at]
+                if value is None:
                     writer.writerow([entry.year, node, "", "", "", ""])
+                else:
+                    hub, authority, hub_rank, auth_rank, _ = value
+                    writer.writerow([entry.year, node, repr(hub), repr(authority), hub_rank, auth_rank])
 
+    years = [entry.year for entry in series.entries]
     svg_paths: dict[str, Path] = {}
     for node in all_nodes:
         svg_path = out / f"hits_{node}.svg"
-        svg_path.write_text(_node_chart_svg(series, node), encoding="utf-8")
+        svg_path.write_text(_node_chart_svg(years, node, columns[node]), encoding="utf-8")
         svg_paths[node] = svg_path
     return {"csv": csv_path, "svg": svg_paths}
 
 
-def _node_chart_svg(series: WindowSeries, node: str) -> str:
-    years = [entry.year for entry in series.entries]
-    data: dict[str, list[float | None]] = {key: [] for key, *_ in _SERIES_STYLE}
-    max_rank = 1
+def _node_values(series: WindowSeries, node: str) -> list[tuple[float, float, int, int, int] | None]:
+    """Per window: the node's hub and authority scores, its hub and authority ranks and the
+    window's node count; None where the node is absent from the window."""
+    values = []
     for entry in series.entries:
-        if node in entry.nodes:
+        if node in entry.hub_rank:
             i = entry.nodes.index(node)
-            data["hub"].append(float(entry.hits.hub[i]))
-            data["authority"].append(float(entry.hits.authority[i]))
-            data["hub_rank"].append(float(entry.hub_rank[node]))
-            data["auth_rank"].append(float(entry.auth_rank[node]))
-            max_rank = max(max_rank, len(entry.nodes))
+            values.append((float(entry.hits.hub[i]), float(entry.hits.authority[i]),
+                           entry.hub_rank[node], entry.auth_rank[node], len(entry.nodes)))
         else:
-            for key, *_ in _SERIES_STYLE:
-                data[key].append(None)
+            values.append(None)
+    return values
+
+
+def _node_chart_svg(years: list[int], node: str, values: list) -> str:
+    max_rank = max((value[4] for value in values if value), default=1)
 
     width, height = 640, 360
     left, right, top, bottom = 60, 60, 50, 40
@@ -420,10 +423,11 @@ def _node_chart_svg(series: WindowSeries, node: str) -> str:
         f'<text x="14" y="{top + plot_h / 2:.1f}" font-size="10" font-family="sans-serif" '
         f'transform="rotate(-90 14 {top + plot_h / 2:.1f})" text-anchor="middle">score / rank</text>'
     )
-    for key, label, color, dash in _SERIES_STYLE:
+    for column, (key, label, color, dash) in enumerate(_SERIES_STYLE):  # a column of _node_values
         scale = y_rank if key.endswith("_rank") else y_score
-        for segment in _segments(data[key]):
-            points = " ".join(f"{x_pos(i):.1f},{scale(v):.1f}" for i, v in segment)
+        runs = itertools.groupby(enumerate(values), key=lambda item: item[1] is not None)
+        for run in (run for present, run in runs if present):
+            points = " ".join(f"{x_pos(i):.1f},{scale(value[column]):.1f}" for i, value in run)
             dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
@@ -441,19 +445,3 @@ def _node_chart_svg(series: WindowSeries, node: str) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _segments(values: list[float | None]) -> list[list[tuple[int, float]]]:
-    """Contiguous runs of present values, as (index, value) lists."""
-    segments: list[list[tuple[int, float]]] = []
-    current: list[tuple[int, float]] = []
-    for idx, value in enumerate(values):
-        if value is None:
-            if current:
-                segments.append(current)
-                current = []
-        else:
-            current.append((idx, value))
-    if current:
-        segments.append(current)
-    return segments

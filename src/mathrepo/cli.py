@@ -24,6 +24,7 @@ from .records import _is_http_url, canonicalize, load_records, make_record_id, s
 from .serialize import (
     AggregatedResource,
     Aggregation,
+    _is_absolute_uri,
     post_package,
     to_eprints_xml,
     to_mets,
@@ -201,8 +202,6 @@ def cmd_transform(args, config: PipelineConfig) -> int:
             if oai_rec.deleted:
                 merged.pop(make_record_id(source, oai_rec.identifier), None)
                 continue
-            if oai_rec.payload is None:
-                continue
             try:
                 rec = canonicalize(oai_rec.payload, source, oai_rec.identifier)
             except MathRepoError as exc:
@@ -234,6 +233,9 @@ def cmd_export(args, config: PipelineConfig) -> int:
         raise UsageError(f"--deposit-url needs --format mets, not {args.format!r}")
     if args.deposit_url and not _is_http_url(args.deposit_url):
         raise UsageError(f"--deposit-url must be an absolute http(s) URL: {args.deposit_url!r}")
+    uri = args.resource_map_uri or f"http://example.org/ore/{args.name}"
+    if not _is_absolute_uri(uri):
+        raise UsageError(f"--resource-map-uri must be an absolute URI: {uri!r}")
     records = sorted(_load_store(config), key=lambda rec: rec.record_id)
     if not records:
         log.warning("store is empty; nothing to export")
@@ -252,7 +254,6 @@ def cmd_export(args, config: PipelineConfig) -> int:
         suffix = f", {len(records)} deposited" if args.deposit_url else ""
         print(f"export: {len(records)} documents{suffix}")
     else:
-        uri = args.resource_map_uri or f"http://example.org/ore/{args.name}"
         # timestamps derive from record dates so reruns stay byte-identical
         dates = sorted(rec.date for rec in records if rec.date)
 
@@ -295,15 +296,18 @@ def cmd_hits(args, config: PipelineConfig) -> int:
     records = _load_store(config)
     if not records:
         log.warning("store is empty; series will carry zero scores")
-    series = analytics.sliding_window_series(
-        records,
-        start_year=args.from_year,
-        end_year=args.to_year,
-        window=args.window,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        convention=args.convention,
-    )
+    try:
+        series = analytics.sliding_window_series(
+            records,
+            start_year=args.from_year,
+            end_year=args.to_year,
+            window=args.window,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            convention=args.convention,
+        )
+    except analytics.AnalyticsError as exc:  # each one names a bad flag value
+        raise UsageError(f"hits: {exc}") from exc
     for entry in series.entries:
         result = entry.hits
         if not result.converged or result.degenerate:

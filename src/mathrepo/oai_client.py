@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 from .errors import MathRepoError
 from .records import _is_http_url
-from .xmlutil import children, first_child, local_name
+from .xmlutil import children, first_child, local_name, text_of
 
 SUPPORTED_PREFIXES = ("oai_dc", "junii2")
 
@@ -62,8 +62,11 @@ class EndpointConfig:
         if not (isinstance(self.name, str) and is_file_name(self.name)):  # it names the spool file
             raise ValueError(f"endpoint name must be a file name: {self.name!r}")
         for key in ("set_spec", "from_date", "until_date"):
-            if not isinstance(getattr(self, key), (str, type(None))):
-                raise ValueError(f"{key} must be a string or null: {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not isinstance(value, (str, type(None))):
+                raise ValueError(f"{key} must be a string or null: {value!r}")
+            if key != "set_spec" and value is not None:
+                parse_datestamp(value)  # OAI-PMH 3.3.1: YYYY-MM-DD or YYYY-MM-DDThh:mm:ssZ
         if self.metadata_prefix not in SUPPORTED_PREFIXES:
             raise ValueError(
                 f"unsupported metadata prefix {self.metadata_prefix!r}; "
@@ -116,12 +119,6 @@ def _record_from_element(elem: ET.Element) -> OaiRecord:
     header = first_child(elem, "header")
     if header is None:
         raise EnvelopeError("record element without header")
-    ident = first_child(header, "identifier")
-    identifier = (ident.text or "").strip() if ident is not None else ""
-    if not identifier:
-        raise EnvelopeError("record header missing identifier")
-    stamp = first_child(header, "datestamp")
-    datestamp = (stamp.text or "").strip() if stamp is not None else ""
     set_specs = tuple(
         (spec.text or "").strip() for spec in children(header, "setSpec") if (spec.text or "").strip()
     )
@@ -135,8 +132,8 @@ def _record_from_element(elem: ET.Element) -> OaiRecord:
                 payload = ET.tostring(inner, encoding="unicode")
     try:
         return OaiRecord(
-            identifier=identifier,
-            datestamp=datestamp,
+            identifier=text_of(header, "identifier"),  # OaiRecord rejects an empty one
+            datestamp=text_of(header, "datestamp"),
             set_specs=set_specs,
             payload=payload,
             deleted=deleted,
@@ -271,8 +268,7 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
             if previous is None or parse_datestamp(rec.datestamp) >= parse_datestamp(previous.datestamp):
                 merged[rec.identifier] = rec
         listing = first_child(root, "ListRecords")
-        token_elem = first_child(listing, "resumptionToken") if listing is not None else None
-        token = (token_elem.text or "").strip() if token_elem is not None else ""
+        token = text_of(listing, "resumptionToken") if listing is not None else ""
         if not token:
             return list(merged.values())
         if token in sent:

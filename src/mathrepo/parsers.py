@@ -73,7 +73,7 @@ def _as_element(payload) -> ET.Element:
             return ET.fromstring(payload)
         except ET.ParseError as exc:
             raise MetadataError(f"malformed metadata payload: {exc}") from exc
-    raise TypeError(f"payload must be XML text or an Element, not {type(payload)!r}")
+    raise MetadataError(f"metadata payload must be XML text or an Element, not {payload!r}")
 
 
 def _collect(payload, lists: dict[str, str], scalars: dict[str, str]) -> dict:

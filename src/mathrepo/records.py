@@ -213,8 +213,6 @@ def canonical_from_dc(rec: DcRecord, source: str, oai_identifier: str) -> Canoni
 
 def canonical_from_junii2(rec: Junii2Record, source: str, oai_identifier: str) -> CanonicalRecord:
     """Canonicalize a junii2 record; the element-per-field layout maps 1:1."""
-    if not rec.uri:
-        raise RecordError(f"junii2 record without URI: {oai_identifier!r}")
     return CanonicalRecord(
         record_id=make_record_id(source, oai_identifier),
         source=source,

@@ -16,7 +16,7 @@ from .errors import MathRepoError
 from .msc import msc_top_level
 from .parsers import citation_text
 from .records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
-from .xmlutil import first_child, local_name
+from .xmlutil import first_child, local_name, text_of
 
 EPRINTS_NS = "http://eprints.org/ep2/data/2.0"
 ATOM_NS = "http://www.w3.org/2005/Atom"
@@ -140,11 +140,6 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
     return _document(root)
 
 
-def _text_of(parent: ET.Element, tag: str) -> str:
-    elem = first_child(parent, tag)
-    return (elem.text or "").strip() if elem is not None else ""
-
-
 def from_eprints_xml(data) -> CanonicalRecord:
     """Read an EPrints XML document back into a CanonicalRecord.
 
@@ -160,15 +155,15 @@ def from_eprints_xml(data) -> CanonicalRecord:
     if ep is None:
         raise SerializationError("document has no eprint element")
 
-    title = _text_of(ep, "title")
+    title = text_of(ep, "title")
     if not title:
         raise SerializationError("eprint element has no title")
     creators: list[NameParts] = []
     creators_container = first_child(ep, "creators_name")
     if creators_container is not None:
         for item in creators_container:
-            family = _text_of(item, "family")
-            given = _text_of(item, "given")
+            family = text_of(item, "family")
+            given = text_of(item, "given")
             if family or given:
                 creators.append(NameParts(family=family, given=given))
     msc_secondary: list[str] = []
@@ -179,33 +174,33 @@ def from_eprints_xml(data) -> CanonicalRecord:
     related_container = first_child(ep, "related_url")
     if related_container is not None:
         for item in related_container:
-            url = _text_of(item, "url")
+            url = text_of(item, "url")
             if url:
-                related.append(RelatedUrl(url=url, type=_text_of(item, "type")))
-    mr_text = _text_of(ep, "mr")
-    refereed_text = _text_of(ep, "refereed")
-    source = _text_of(ep, "source")
-    oai_identifier = _text_of(ep, "oai_identifier")
+                related.append(RelatedUrl(url=url, type=text_of(item, "type")))
+    mr_text = text_of(ep, "mr")
+    refereed_text = text_of(ep, "refereed")
+    source = text_of(ep, "source")
+    oai_identifier = text_of(ep, "oai_identifier")
     return CanonicalRecord(
         record_id=make_record_id(source, oai_identifier),
         source=source,
         oai_identifier=oai_identifier,
         title=title,
         creators=creators,
-        publication=_text_of(ep, "publication"),
-        volume=_text_of(ep, "volume"),
-        issue=_text_of(ep, "number"),
-        pagerange=_text_of(ep, "pagerange"),
-        date=_text_of(ep, "date"),
-        publisher=_text_of(ep, "publisher"),
-        official_url=_text_of(ep, "official_url"),
-        full_text_url=_text_of(ep, "full_text_url"),
-        msc_primary=_text_of(ep, "msc_p"),
+        publication=text_of(ep, "publication"),
+        volume=text_of(ep, "volume"),
+        issue=text_of(ep, "number"),
+        pagerange=text_of(ep, "pagerange"),
+        date=text_of(ep, "date"),
+        publisher=text_of(ep, "publisher"),
+        official_url=text_of(ep, "official_url"),
+        full_text_url=text_of(ep, "full_text_url"),
+        msc_primary=text_of(ep, "msc_p"),
         msc_secondary=msc_secondary,
         mr_number=int(mr_text) if mr_text else None,
         related_urls=related,
         refereed=refereed_text != "FALSE",
-        language=_text_of(ep, "language"),
+        language=text_of(ep, "language"),
     )
 
 
@@ -279,8 +274,6 @@ def to_mets(rec: CanonicalRecord) -> str:
     """Render a record as a minimal METS package: header, Dublin Core
     descriptive section, file section (empty without a full-text URL), and
     a single-division structural map."""
-    if not rec.official_url:
-        raise SerializationError("METS export requires official_url")
     mets = ET.Element(f"{{{METS_NS}}}mets", {"OBJID": rec.record_id, "LABEL": rec.title})
     header = _mets(mets, "metsHdr")
     agent = _mets(header, "agent", {"ROLE": "CREATOR", "TYPE": "OTHER", "OTHERTYPE": "SOFTWARE"})

@@ -27,6 +27,12 @@ def first_child(elem: ET.Element, name: str) -> ET.Element | None:
     return None
 
 
+def text_of(elem: ET.Element, name: str) -> str:
+    """Stripped text of the first child named ``name``; "" when there is none."""
+    child = first_child(elem, name)
+    return (child.text or "").strip() if child is not None else ""
+
+
 def collapse_ws(text: str | None) -> str:
     """Trim and collapse runs of whitespace to single spaces."""
     if not text:

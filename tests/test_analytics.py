@@ -91,6 +91,23 @@ class TestShareTable:
         path.write_text("# field\tcount\n57\t18103\n32\t18506\n", encoding="utf-8")
         assert load_totals(path) == {"57": 18103, "32": 18506}
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("57\t18103\t1\n", ":1: expected 2 columns"),
+            ("57\n", ":1: expected 2 columns"),
+            ("# field\tcount\n57\tmany\n", ":2: bad count 'many'"),
+            ("53\t100\n57\t7\n53\t5\n", ": duplicate field '53' on lines 1 and 3"),
+        ],
+        ids=["three_columns", "one_column", "bad_count", "duplicate_field"],
+    )
+    def test_load_totals_names_file_and_line_of_a_bad_row(self, tmp_path, text, error):
+        path = tmp_path / "totals.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AnalyticsError) as info:
+            load_totals(path)
+        assert f"{path}{error}" in str(info.value)
+
 
 class TestGraphConstruction:
     def test_self_loop_single_article(self):

@@ -326,6 +326,18 @@ class TestDeletions:
             "transform: 0 parsed, 0 failed, store has 1 records"
         )
 
+    def test_header_only_record_counts_as_failed(self, tmp_path, caplog, capsys):
+        # not marked deleted, so the missing <metadata> is a bad record, not a deletion
+        header_only = (
+            "<record><header><identifier>oai:x:1</identifier>"
+            "<datestamp>2009-02-01</datestamp></header></record>"
+        )
+        assert self.transform(tmp_path, header_only) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "transform: 0 parsed, 1 failed, store has 0 records"
+        )
+        assert "cannot canonicalize oai:x:1" in caplog.text
+
     def test_deletion_of_unknown_record_is_a_no_op(self, tmp_path):
         assert self.transform(tmp_path, dc_record_xml("oai:x:1")) == 0
         before = (tmp_path / "records.jsonl").read_bytes()
@@ -408,6 +420,9 @@ class TestSettingsAndInputs:
             {"endpoints": [{**GOOD_ENDPOINT, "name": ""}]},
             {"endpoints": [{**GOOD_ENDPOINT, "set_spec": 7}]},
             {"endpoints": [{"name": "src", "metadata_prefix": "oai_dc"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "from_date": "garbage"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "from_date": "2009-13-45"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "until_date": "2009-06-01T00:00:00"}]},
             {"store": "a\0b"},
             {"spool_dir": "a\0b"},
             {"mr_table": "a\0b"},
@@ -417,7 +432,8 @@ class TestSettingsAndInputs:
         ids=[
             "mr_table_int", "store_int", "spool_dir_null", "unknown_key", "endpoints_int",
             "endpoint_not_object", "endpoint_key_typo", "endpoint_name_empty",
-            "endpoint_set_spec_int", "endpoint_base_url_missing", "store_nul", "spool_dir_nul",
+            "endpoint_set_spec_int", "endpoint_base_url_missing", "endpoint_from_date_garbage",
+            "endpoint_from_date_month_13", "endpoint_until_date_without_z", "store_nul", "spool_dir_nul",
             "mr_table_nul", "totals_nul", "output_dir_nul",
         ],
     )
@@ -429,6 +445,30 @@ class TestSettingsAndInputs:
         assert run(config, "enrich") == 2
         assert f"config {config}:" in caplog.text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mr.tsv"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hits", "--from", "1990", "--to", "1999", "--window", "0"], "window must be >= 1"),
+            (["hits", "--from", "2000", "--to", "1990"], "start_year 2000 > end_year 1990"),
+            (["hits", "--from", "1990", "--to", "1999", "--tol", "0"], "tol must be positive"),
+            (["hits", "--from", "1990", "--to", "1999", "--tol", "inf"], "tol must be positive and finite"),
+            (["hits", "--from", "1990", "--to", "1999", "--tol", "nan"], "tol must be positive and finite"),
+            (["hits", "--from", "1990", "--to", "1999", "--max-iter", "0"], "max_iter must be >= 1"),
+            (["export", "--format", "ore", "--resource-map-uri", "not-a-uri"], "--resource-map-uri"),
+        ],
+        ids=[
+            "window_zero", "from_after_to", "tol_zero", "tol_inf", "tol_nan", "max_iter_zero",
+            "resource_map_uri_relative",
+        ],
+    )
+    def test_bad_flag_value_exits_two_before_writing(self, tmp_path, caplog, argv, message):
+        store, config = stage_inputs(tmp_path)
+        store_records([classified_record(1, 1995, "53A35", ["32A10"])], store)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(config, *argv) == 2
+        assert message in caplog.text
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\0b"])
     def test_name_that_is_not_a_file_name_exits_two(self, tmp_path, caplog, name):

@@ -109,6 +109,24 @@ class TestLoadMrTable:
         with pytest.raises(MrTableError, match="lines 1 and 2"):
             load_mr_table(path)
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("J\t1\t1998\t43\t1710269\t53A35\n", "expected 7 columns, got 6"),
+            ("J\t1\t98A\t43\t1710269\t53A35\t\n", "bad year '98A'"),
+            ("J\t1\t1998\t43\tMR1710269\t53A35\t\n", "bad mr_number 'MR1710269'"),
+            ("J\t1\t1998\t43\t0\t53A35\t\n", "mr_number must be positive: 0"),
+        ],
+        ids=["six_columns", "bad_year", "bad_mr_number", "mr_number_zero"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, error):
+        path = tmp_path / "mr_table.tsv"
+        good = f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t\n"
+        path.write_text(f"# journal\tvolume\n{good}{row}", encoding="utf-8")
+        with pytest.raises(MrTableError) as info:
+            load_mr_table(path)
+        assert f"{path}:3: {error}" in str(info.value)
+
     def test_malformed_msc_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("J. Example\t1\t1998\t43\t1710269\tBAD1\t\n", encoding="utf-8")

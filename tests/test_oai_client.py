@@ -1,5 +1,6 @@
 """Envelope parsing, serialization round-trips, and fixture-endpoint paging."""
 
+import urllib.parse
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -259,6 +260,51 @@ class TestFixtureServerPaging:
             with pytest.raises(HarvestError, match=f"failing.*page 1.*{status}"):
                 list_records(endpoint, HttpTransport(timeout=5), retries=2)
         assert len(paths) == requests
+
+    @staticmethod
+    def token_rejecting_handler(requests, rejections):
+        """Two pages joined by the token "t1"; the first ``rejections`` requests for
+        "t1" get ``badResumptionToken``."""
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                token = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query).get("resumptionToken")
+                requests.append(token)
+                if token is None:
+                    listing = dc_record_xml("oai:x:1") + "<resumptionToken>t1</resumptionToken>"
+                    inner = f"<ListRecords>{listing}</ListRecords>"
+                elif sum(t is not None for t in requests) <= rejections:
+                    inner = '<error code="badResumptionToken">expired</error>'
+                else:
+                    inner = f"<ListRecords>{dc_record_xml('oai:x:2')}</ListRecords>"
+                body = f'<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/">{inner}</OAI-PMH>'.encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "text/xml")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        return Handler
+
+    def test_rejected_token_restarts_the_harvest_once(self):
+        requests = []
+        with serve_handler(self.token_rejecting_handler(requests, rejections=1)) as base_url:
+            endpoint = EndpointConfig(name="expiring", base_url=f"{base_url}/oai", metadata_prefix="oai_dc")
+            records = list_records(endpoint, HttpTransport(timeout=5))
+        assert [r.identifier for r in records] == ["oai:x:1", "oai:x:2"]
+        assert requests == [None, ["t1"], None, ["t1"]]
+
+    def test_token_rejected_again_raises_its_code(self):
+        requests = []
+        with serve_handler(self.token_rejecting_handler(requests, rejections=99)) as base_url:
+            endpoint = EndpointConfig(name="expiring", base_url=f"{base_url}/oai", metadata_prefix="oai_dc")
+            with pytest.raises(OaiProtocolError) as info:
+                list_records(endpoint, HttpTransport(timeout=5))
+        assert info.value.code == "badResumptionToken"
+        assert requests == [None, ["t1"], None, ["t1"]]
 
     def test_protocol_error_raises(self, tmp_path):
         write_dc_fixture_dir(tmp_path, count=2)
