@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import re
 import time
 import urllib.error
 import urllib.parse
@@ -66,7 +67,10 @@ class EndpointConfig:
             if not isinstance(value, (str, type(None))):
                 raise ValueError(f"{key} must be a string or null: {value!r}")
             if key != "set_spec" and value is not None:
-                parse_datestamp(value)  # OAI-PMH 3.3.1: YYYY-MM-DD or YYYY-MM-DDThh:mm:ssZ
+                parse_datestamp(value)
+        start, end = self.from_date, self.until_date
+        if start and end and parse_datestamp(start) > parse_datestamp(end):  # OAI-PMH: badArgument
+            raise ValueError(f"from_date {start!r} is after until_date {end!r}")
         if self.metadata_prefix not in SUPPORTED_PREFIXES:
             raise ValueError(
                 f"unsupported metadata prefix {self.metadata_prefix!r}; "
@@ -98,13 +102,16 @@ class OaiRecord:
         parse_datestamp(self.datestamp)
 
 
+_DATESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}(T\d{2}:\d{2}:\d{2}Z)?", re.ASCII)
+
+
 def parse_datestamp(value: str) -> datetime:
-    """Parse an OAI datestamp, either date-only or a full UTC timestamp."""
-    for fmt in ("%Y-%m-%d", "%Y-%m-%dT%H:%M:%SZ"):
+    """Parse a zero-padded OAI datestamp, ``YYYY-MM-DD`` or ``YYYY-MM-DDThh:mm:ssZ`` (OAI-PMH 3.3.1)."""
+    if _DATESTAMP_RE.fullmatch(value):
         try:
-            return datetime.strptime(value, fmt).replace(tzinfo=timezone.utc)
-        except ValueError:
-            continue
+            return datetime.fromisoformat(value[:19]).replace(tzinfo=timezone.utc)
+        except ValueError:  # a field out of range, such as month 13
+            pass
     raise ValueError(f"bad OAI datestamp: {value!r}")
 
 

@@ -160,6 +160,7 @@ _PAGE_RANGE_RE = re.compile(r"[\s.,;:]*(?:pp?\.?\s*)?(\d+)\s*[-–]\s*(\d+)\s*\.
 _YEAR_RE = re.compile(r"\((\d{4})\)")
 _ISSUE_RE = re.compile(r"(?:\bno\.?|\bissue\b)\s*(\d+)", re.IGNORECASE)
 _STANDALONE_INT_RE = re.compile(r"(?<![\w.])(\d+)(?![\w.])")
+_TRAILING_SEPARATORS_RE = re.compile(r"[\s,;:]+\Z")
 
 
 def parse_citation_string(s: str) -> Citation:
@@ -209,7 +210,7 @@ def parse_citation_string(s: str) -> Citation:
         prefix = work[: year_span[0]]
     else:
         prefix = work
-    journal = prefix.strip().rstrip(",;:").rstrip()
+    journal = _TRAILING_SEPARATORS_RE.sub("", prefix).lstrip()
     if not journal and year is None and not volume and not pages_found:
         journal = work
     return Citation(

@@ -18,8 +18,7 @@ from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, MetadataError, _as_element
 from .parsers import parse_citation_string, parse_junii2, parse_oai_dc
 
-_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?\Z", re.ASCII)
-_DATE_PREFIX_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?", re.ASCII)
+_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?", re.ASCII)  # YYYY[-MM[-DD]]
 
 
 class RecordError(MathRepoError):
@@ -142,7 +141,7 @@ class CanonicalRecord:
             raise RecordError("canonical record requires a title")
         if not _is_http_url(self.official_url):
             raise RecordError(f"official_url must be an absolute URL: {self.official_url!r}")
-        if self.date and not _DATE_RE.match(self.date):
+        if self.date and not _DATE_RE.fullmatch(self.date):
             raise RecordError(f"date must be YYYY[-MM[-DD]]: {self.date!r}")
         for code in [self.msc_primary, *self.msc_secondary]:
             if not isinstance(code, str) or code and not is_msc_code(code):
@@ -154,7 +153,7 @@ class CanonicalRecord:
 
 
 def _clean_date(value: str) -> str:
-    match = _DATE_PREFIX_RE.match(value.strip())
+    match = _DATE_RE.match(value.strip())
     return match.group(0) if match else ""
 
 

@@ -51,8 +51,7 @@ def _ep(parent: ET.Element, tag: str, text: str | None = None) -> ET.Element:
     # plain tags; the namespace is declared as a literal xmlns attribute on
     # the eprint element so the document matches the platform layout
     elem = ET.SubElement(parent, tag)
-    if text is not None:
-        elem.text = text
+    elem.text = text
     return elem
 
 
@@ -71,6 +70,24 @@ def _subject_items(rec: CanonicalRecord) -> list[str]:
     return tops
 
 
+# The text elements and the record fields they carry, as three runs in document
+# order; the writer puts the list elements between the runs, the reader reads them all.
+_EP_TEXT_RUNS = (
+    (("publication", "publication"), ("title", "title")),
+    (("official_url", "official_url"), ("pagerange", "pagerange"), ("volume", "volume"), ("number", "issue"),
+     ("date", "date"), ("publisher", "publisher"), ("msc_p", "msc_primary")),
+    (("full_text_url", "full_text_url"), ("language", "language"), ("source", "source"),
+     ("oai_identifier", "oai_identifier")),
+)
+
+
+def _ep_texts(ep: ET.Element, rec: CanonicalRecord, run) -> None:
+    for tag, name in run:
+        value = getattr(rec, name)
+        if value:
+            _ep(ep, tag, value)
+
+
 def to_eprints_xml(rec: CanonicalRecord) -> str:
     """Render a record as an EPrints XML import document.
 
@@ -79,6 +96,7 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
     (source, oai_identifier, full_text_url, language) ride along as custom
     elements so the document round-trips.
     """
+    head, biblio, provenance = _EP_TEXT_RUNS
     root = ET.Element("eprints")
     ep = ET.SubElement(root, "eprint", {"xmlns": EPRINTS_NS})
     _ep(ep, "rev_number", "1")
@@ -95,28 +113,14 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
     _ep(ep, "refereed", "TRUE" if rec.refereed else "FALSE")
     _ep(ep, "full_text_status", "public")
     _ep(ep, "date_type", "published")
-    if rec.publication:
-        _ep(ep, "publication", rec.publication)
-    _ep(ep, "title", rec.title)
+    _ep_texts(ep, rec, head)
     if rec.creators:
         creators = _ep(ep, "creators_name")
         for name in rec.creators:
             item = _ep(creators, "item")
             _ep(item, "family", name.family)
             _ep(item, "given", name.given)
-    _ep(ep, "official_url", rec.official_url)
-    if rec.pagerange:
-        _ep(ep, "pagerange", rec.pagerange)
-    if rec.volume:
-        _ep(ep, "volume", rec.volume)
-    if rec.issue:
-        _ep(ep, "number", rec.issue)
-    if rec.date:
-        _ep(ep, "date", rec.date)
-    if rec.publisher:
-        _ep(ep, "publisher", rec.publisher)
-    if rec.msc_primary:
-        _ep(ep, "msc_p", rec.msc_primary)
+    _ep_texts(ep, rec, biblio)
     if rec.msc_secondary:
         msc = _ep(ep, "msc")
         for code in rec.msc_secondary:
@@ -129,14 +133,7 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
             item = _ep(related, "item")
             _ep(item, "url", ru.url)
             _ep(item, "type", ru.type)
-    if rec.full_text_url:
-        _ep(ep, "full_text_url", rec.full_text_url)
-    if rec.language:
-        _ep(ep, "language", rec.language)
-    if rec.source:
-        _ep(ep, "source", rec.source)
-    if rec.oai_identifier:
-        _ep(ep, "oai_identifier", rec.oai_identifier)
+    _ep_texts(ep, rec, provenance)
     return _document(root)
 
 
@@ -155,52 +152,26 @@ def from_eprints_xml(data) -> CanonicalRecord:
     if ep is None:
         raise SerializationError("document has no eprint element")
 
-    title = text_of(ep, "title")
-    if not title:
+    texts = {name: text_of(ep, tag) for run in _EP_TEXT_RUNS for tag, name in run}
+    if not texts["title"]:
         raise SerializationError("eprint element has no title")
-    creators: list[NameParts] = []
-    creators_container = first_child(ep, "creators_name")
-    if creators_container is not None:
-        for item in creators_container:
-            family = text_of(item, "family")
-            given = text_of(item, "given")
-            if family or given:
-                creators.append(NameParts(family=family, given=given))
-    msc_secondary: list[str] = []
-    msc_container = first_child(ep, "msc")
-    if msc_container is not None:
-        msc_secondary = [(item.text or "").strip() for item in msc_container if (item.text or "").strip()]
-    related: list[RelatedUrl] = []
-    related_container = first_child(ep, "related_url")
-    if related_container is not None:
-        for item in related_container:
-            url = text_of(item, "url")
-            if url:
-                related.append(RelatedUrl(url=url, type=text_of(item, "type")))
+
+    def items(tag: str) -> list[ET.Element]:  # the children of list element ``tag``
+        container = first_child(ep, tag)
+        return [] if container is None else list(container)
+
+    names = [(text_of(item, "family"), text_of(item, "given")) for item in items("creators_name")]
+    codes = [(item.text or "").strip() for item in items("msc")]
+    urls = [(text_of(item, "url"), text_of(item, "type")) for item in items("related_url")]
     mr_text = text_of(ep, "mr")
-    refereed_text = text_of(ep, "refereed")
-    source = text_of(ep, "source")
-    oai_identifier = text_of(ep, "oai_identifier")
     return CanonicalRecord(
-        record_id=make_record_id(source, oai_identifier),
-        source=source,
-        oai_identifier=oai_identifier,
-        title=title,
-        creators=creators,
-        publication=text_of(ep, "publication"),
-        volume=text_of(ep, "volume"),
-        issue=text_of(ep, "number"),
-        pagerange=text_of(ep, "pagerange"),
-        date=text_of(ep, "date"),
-        publisher=text_of(ep, "publisher"),
-        official_url=text_of(ep, "official_url"),
-        full_text_url=text_of(ep, "full_text_url"),
-        msc_primary=text_of(ep, "msc_p"),
-        msc_secondary=msc_secondary,
+        record_id=make_record_id(texts["source"], texts["oai_identifier"]),
+        creators=[NameParts(family=family, given=given) for family, given in names if family or given],
+        msc_secondary=[code for code in codes if code],
         mr_number=int(mr_text) if mr_text else None,
-        related_urls=related,
-        refereed=refereed_text != "FALSE",
-        language=text_of(ep, "language"),
+        related_urls=[RelatedUrl(url=url, type=kind) for url, kind in urls if url],
+        refereed=text_of(ep, "refereed") != "FALSE",
+        **texts,
     )
 
 

@@ -274,6 +274,20 @@ class TestHarvestTransform:
         spool = tmp_path / "spool"
         assert sorted(p.name for p in spool.iterdir()) == ["second.xml"]
 
+    def test_set_spec_harvests_only_that_set(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        for i in range(5):  # two sets, interleaved
+            xml = dc_record_xml(f"oai:x:{i}", set_spec="geometry" if i % 2 == 0 else "algebra")
+            (fixtures / f"{i:03d}.xml").write_text(xml, encoding="utf-8")
+        with serve_fixtures(fixtures, page_size=1) as server:  # the set must ride the resumption token
+            endpoint = {**GOOD_ENDPOINT, "base_url": server.base_url, "set_spec": "geometry"}
+            config = write_config(tmp_path, endpoints=[endpoint])
+            assert run(config, "harvest") == 0
+        assert run(config, "transform") == 0
+        stored = load_records(tmp_path / "records.jsonl")
+        assert sorted(rec.oai_identifier for rec in stored) == ["oai:x:0", "oai:x:2", "oai:x:4"]
+
     def test_repeated_resumption_token_fails_the_endpoint(self, tmp_path):
         requests = []
 
@@ -423,6 +437,9 @@ class TestSettingsAndInputs:
             {"endpoints": [{**GOOD_ENDPOINT, "from_date": "garbage"}]},
             {"endpoints": [{**GOOD_ENDPOINT, "from_date": "2009-13-45"}]},
             {"endpoints": [{**GOOD_ENDPOINT, "until_date": "2009-06-01T00:00:00"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "from_date": "2009-1-2"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "until_date": "2009-01-02T1:2:3Z"}]},
+            {"endpoints": [{**GOOD_ENDPOINT, "from_date": "2009-01-03", "until_date": "2009-01-01"}]},
             {"store": "a\0b"},
             {"spool_dir": "a\0b"},
             {"mr_table": "a\0b"},
@@ -433,7 +450,8 @@ class TestSettingsAndInputs:
             "mr_table_int", "store_int", "spool_dir_null", "unknown_key", "endpoints_int",
             "endpoint_not_object", "endpoint_key_typo", "endpoint_name_empty",
             "endpoint_set_spec_int", "endpoint_base_url_missing", "endpoint_from_date_garbage",
-            "endpoint_from_date_month_13", "endpoint_until_date_without_z", "store_nul", "spool_dir_nul",
+            "endpoint_from_date_month_13", "endpoint_until_date_without_z", "endpoint_from_date_unpadded",
+            "endpoint_until_date_time_unpadded", "endpoint_from_after_until", "store_nul", "spool_dir_nul",
             "mr_table_nul", "totals_nul", "output_dir_nul",
         ],
     )
@@ -548,6 +566,7 @@ class TestEnrichExport:
     def test_enrich_without_table_is_usage_error(self, tmp_path):
         config = self.seed_store(tmp_path)
         assert run(config, "enrich") == 2
+        assert run(config, "stats") == 2  # nor stats without a totals file
 
     def test_export_eprints_and_mets_write_per_record_files(self, tmp_path):
         config = self.seed_store(tmp_path)
@@ -728,12 +747,16 @@ class TestStatsHits:
         }
         assert digests == HITS_GOLDEN
 
-    def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog):
+    def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])
         store_records([], tmp_path / "records.jsonl")
         with caplog.at_level("WARNING"):
             assert run(config, "hits", "--from", "1990", "--to", "1991") == 0
         assert "empty" in caplog.text
+        capsys.readouterr()
+        assert run(config, "export", "--format", "eprints") == 0  # so does export, writing nothing
+        assert capsys.readouterr().out == "export: 0 documents\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestServeFixturesCommand:

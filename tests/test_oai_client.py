@@ -115,6 +115,11 @@ class TestEnvelopeParsing:
         with pytest.raises(ValueError):
             parse_datestamp("2009/01/01")
 
+    @pytest.mark.parametrize("stamp", ["2009-1-2", "2009-01-02T1:2:3Z"])
+    def test_unpadded_header_datestamp_is_envelope_error(self, stamp):
+        with pytest.raises(EnvelopeError, match="bad OAI datestamp"):
+            parse_oai_envelope(dc_record_xml("oai:x:1", datestamp=stamp))
+
 
 oai_records = st.builds(
     OaiRecord,

@@ -1,7 +1,7 @@
 """Dialect parsers and the citation-string grammar."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathrepo.oai_client import parse_oai_envelope
@@ -175,6 +175,7 @@ class TestCitationGrammar:
         assert c.journal_title == "Some Unstructured String"
         assert c.volume == "" and c.issue == ""
         assert c.year is None and c.spage is None and c.epage is None
+        assert parse_citation_string("J. Math: ;").journal_title == "J. Math"
 
     def test_en_dash_page_separator(self):
         c = parse_citation_string("Ann. Example 7 (2001), 15–20")
@@ -199,6 +200,7 @@ class TestCitationGrammar:
             assert 1600 <= citation.year <= 2100
 
     @given(st.text(min_size=1).filter(lambda s: s.strip()))
+    @example("0: :")  # separators with whitespace between them
     @settings(max_examples=300)
     def test_idempotent_on_canonical_rendering(self, s):
         first = parse_citation_string(s)

@@ -63,6 +63,19 @@ class TestEprintsReader:
         ]
         assert rec.refereed is True
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("<eprints><eprint><title>T</title></eprints>", "malformed EPrints XML"),
+            ("<eprints><item><title>T</title></item></eprints>", "no eprint element"),
+            ("<eprints><eprint><title> </title></eprint></eprints>", "no title"),
+        ],
+        ids=["malformed", "no_eprint", "empty_title"],
+    )
+    def test_unreadable_document_is_serialization_error(self, doc, message):
+        with pytest.raises(SerializationError, match=message):
+            from_eprints_xml(doc)
+
 
 class TestEprintsEmitter:
     def test_enriched_record_elements(self):
