@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .errors import MathRepoError
 from .msc import msc_top_level
-from .records import CanonicalRecord
+from .records import CanonicalRecord, read_table
 
 # numpy is imported inside the functions that build graphs and score them, so
 # every CLI stage but `hits`, and `serve-fixtures`, starts without it
@@ -83,25 +83,16 @@ def load_totals(path) -> dict[str, int]:
     twice is an error naming both lines."""
     totals: dict[str, int] = {}
     first_line: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise AnalyticsError(f"{path}:{lineno}: expected 2 columns")
-                msc2 = row[0].strip()
-                if msc2 in totals:
-                    raise AnalyticsError(
-                        f"{path}: duplicate field {msc2!r} on lines {first_line[msc2]} and {lineno}"
-                    )
-                try:
-                    totals[msc2] = int(row[1])
-                except ValueError as exc:
-                    raise AnalyticsError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
-                first_line[msc2] = lineno
-    except UnicodeDecodeError as exc:
-        raise AnalyticsError(f"{path}: not UTF-8: {exc}") from exc
+    for lineno, (msc2, count) in read_table(path, 2, AnalyticsError):
+        if msc2 in totals:
+            raise AnalyticsError(
+                f"{path}: duplicate field {msc2!r} on lines {first_line[msc2]} and {lineno}"
+            )
+        try:
+            totals[msc2] = int(count)
+        except ValueError as exc:
+            raise AnalyticsError(f"{path}:{lineno}: bad count {count!r}") from exc
+        first_line[msc2] = lineno
     return totals
 
 
@@ -193,8 +184,6 @@ def _dominant_gap_degenerate(m: np.ndarray, rel_gap: float = 1e-9) -> bool:
     if values.size < 2:
         return False
     lead, second = values[-1], values[-2]
-    if lead <= 0:
-        return True
     return (lead - second) <= rel_gap * lead
 
 

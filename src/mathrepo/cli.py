@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=DEFAULT_CONFIG, help="pipeline config file (JSON)")
     parser.add_argument("--store", default=None, help="override the record store path")
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("harvest", help="fetch records from configured endpoints into the spool")
@@ -147,13 +146,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return config
 
 
-def _load_store(config: PipelineConfig):
-    path = Path(config.store)
-    if not path.exists():
-        return []
-    return load_records(path)
-
-
 def _write_store(records, config: PipelineConfig) -> int:
     # Sorted by record_id so reruns produce byte-identical stores.
     ordered = sorted(records, key=lambda rec: rec.record_id)
@@ -194,7 +186,8 @@ def cmd_transform(args, config: PipelineConfig) -> int:
     if not envelopes:
         log.error("spool directory %s has no envelopes; run harvest first", spool)
         return EXIT_PARTIAL
-    merged = {rec.record_id: rec for rec in _load_store(config)}
+    # the one stage that may run without a store: its first run creates it
+    merged = {rec.record_id: rec for rec in load_records(config.store)} if Path(config.store).exists() else {}
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
@@ -219,7 +212,7 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
     if not config.mr_table:
         raise UsageError("no lookup table configured; pass --mr-table or set mr_table in the config")
     table = load_mr_table(config.mr_table)
-    records = _load_store(config)
+    records = load_records(config.store)
     enriched, report = enrich_records(records, table)
     _write_store(enriched, config)
     print(f"enrich: {report.summary()}")
@@ -236,7 +229,7 @@ def cmd_export(args, config: PipelineConfig) -> int:
     uri = args.resource_map_uri or f"http://example.org/ore/{args.name}"
     if not _is_absolute_uri(uri):
         raise UsageError(f"--resource-map-uri must be an absolute URI: {uri!r}")
-    records = sorted(_load_store(config), key=lambda rec: rec.record_id)
+    records = sorted(load_records(config.store), key=lambda rec: rec.record_id)
     if not records:
         log.warning("store is empty; nothing to export")
         print("export: 0 documents")
@@ -277,7 +270,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
     if not config.totals:
         raise UsageError("no totals file configured; pass --totals or set totals in the config")
     totals = analytics.load_totals(config.totals)
-    rows = analytics.field_share_table(_load_store(config), totals)
+    rows = analytics.field_share_table(load_records(config.store), totals)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "field_share.csv"
@@ -293,7 +286,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 
 def cmd_hits(args, config: PipelineConfig) -> int:
-    records = _load_store(config)
+    records = load_records(config.store)
     if not records:
         log.warning("store is empty; series will carry zero scores")
     try:
@@ -342,7 +335,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

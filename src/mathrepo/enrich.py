@@ -7,7 +7,6 @@ page, and carries its review number plus primary/secondary classification.
 
 from __future__ import annotations
 
-import csv
 import functools
 import re
 import string
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .errors import MathRepoError
 from .msc import is_msc_code
-from .records import CanonicalRecord, RelatedUrl
+from .records import CanonicalRecord, RelatedUrl, read_table
 
 REVIEW_URL_PREFIX = "http://www.ams.org/mathscinet-getitem?mr="
 
@@ -90,37 +89,29 @@ def load_mr_table(path) -> dict[MatchKey, MrEntry]:
     """
     table: dict[MatchKey, MrEntry] = {}
     first_line: dict[MatchKey, int] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 7:
-                    raise MrTableError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
-                journal, volume, year, spage, mr_number, primary, secondary = (c.strip() for c in row)
-                try:
-                    key = MatchKey(normalize_journal(journal), volume, int(year), spage)
-                except ValueError as exc:
-                    raise MrTableError(f"{path}:{lineno}: bad year {year!r}") from exc
-                if key in table:
-                    raise MrTableError(
-                        f"{path}: duplicate key {key.render()!r} on lines "
-                        f"{first_line[key]} and {lineno}"
-                    )
-                try:
-                    entry = MrEntry(
-                        mr_number=int(mr_number),
-                        msc_primary=primary,
-                        msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
-                    )
-                except ValueError as exc:
-                    raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
-                except MrTableError as exc:
-                    raise MrTableError(f"{path}:{lineno}: {exc}") from exc
-                table[key] = entry
-                first_line[key] = lineno
-    except UnicodeDecodeError as exc:
-        raise MrTableError(f"{path}: not UTF-8: {exc}") from exc
+    for lineno, row in read_table(path, 7, MrTableError):
+        journal, volume, year, spage, mr_number, primary, secondary = row
+        try:
+            key = MatchKey(normalize_journal(journal), volume, int(year), spage)
+        except ValueError as exc:
+            raise MrTableError(f"{path}:{lineno}: bad year {year!r}") from exc
+        if key in table:
+            raise MrTableError(
+                f"{path}: duplicate key {key.render()!r} on lines "
+                f"{first_line[key]} and {lineno}"
+            )
+        try:
+            entry = MrEntry(
+                mr_number=int(mr_number),
+                msc_primary=primary,
+                msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
+            )
+        except ValueError as exc:
+            raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
+        except MrTableError as exc:
+            raise MrTableError(f"{path}:{lineno}: {exc}") from exc
+        table[key] = entry
+        first_line[key] = lineno
     return table
 
 
@@ -135,22 +126,16 @@ class EnrichReport:
 
 
 def _apply_entry(rec: CanonicalRecord, entry: MrEntry) -> CanonicalRecord:
-    """``rec`` with ``entry`` applied; ``rec`` itself when it already carries it."""
-    review = RelatedUrl(url=f"{REVIEW_URL_PREFIX}{entry.mr_number}", type="MathSciNet")
-    if (
-        rec.mr_number == entry.mr_number
-        and rec.msc_primary == entry.msc_primary
-        and all(code in rec.msc_secondary for code in entry.msc_secondary)
-        and review in rec.related_urls
-    ):
-        return rec
-    secondary = list(rec.msc_secondary)
-    for code in entry.msc_secondary:
-        if code not in secondary:
-            secondary.append(code)
+    """``rec`` with ``entry`` applied; ``rec`` itself when applying it changes nothing."""
+    added = [code for code in dict.fromkeys(entry.msc_secondary) if code not in rec.msc_secondary]
+    secondary = rec.msc_secondary + added
     related = list(rec.related_urls)
+    review = RelatedUrl(url=f"{REVIEW_URL_PREFIX}{entry.mr_number}", type="MathSciNet")
     if review not in related:
         related.append(review)
+    merged = (entry.mr_number, entry.msc_primary, secondary, related)
+    if merged == (rec.mr_number, rec.msc_primary, rec.msc_secondary, rec.related_urls):
+        return rec
     return replace(
         rec,
         mr_number=entry.mr_number,

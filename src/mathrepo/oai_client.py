@@ -15,7 +15,7 @@ from xml.sax.saxutils import escape
 
 from .errors import MathRepoError
 from .records import _is_http_url
-from .xmlutil import children, first_child, local_name, text_of
+from .xmlutil import children, first_child, local_name, parse_xml, text_of
 
 SUPPORTED_PREFIXES = ("oai_dc", "junii2")
 
@@ -115,13 +115,6 @@ def parse_datestamp(value: str) -> datetime:
     raise ValueError(f"bad OAI datestamp: {value!r}")
 
 
-def _parse_xml(data) -> ET.Element:
-    try:
-        return ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise EnvelopeError(f"malformed envelope XML: {exc}") from exc
-
-
 def _record_from_element(elem: ET.Element) -> OaiRecord:
     header = first_child(elem, "header")
     if header is None:
@@ -165,7 +158,7 @@ def parse_oai_envelope(data) -> list[OaiRecord]:
     the records; anything else is an ``EnvelopeError``. Namespaces are
     ignored.
     """
-    return _records_in(_parse_xml(data))
+    return _records_in(parse_xml(data, EnvelopeError, "envelope XML"))
 
 
 def _serialize_record(rec: OaiRecord) -> str:
@@ -263,7 +256,7 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
                 params["until"] = endpoint.until_date
         else:
             params["resumptionToken"] = token
-        root = _parse_xml(_fetch(endpoint, transport, params, page, retries))
+        root = parse_xml(_fetch(endpoint, transport, params, page, retries), EnvelopeError, "envelope XML")
         error = first_child(root, "error")
         if error is not None:
             code = error.get("code", "")

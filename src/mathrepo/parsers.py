@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 from .errors import MathRepoError
-from .xmlutil import collapse_ws, local_name
+from .xmlutil import collapse_ws, local_name, parse_xml
 
 
 class MetadataError(MathRepoError):
@@ -69,10 +69,7 @@ def _as_element(payload) -> ET.Element:
     if isinstance(payload, ET.Element):
         return payload
     if isinstance(payload, (str, bytes)):
-        try:
-            return ET.fromstring(payload)
-        except ET.ParseError as exc:
-            raise MetadataError(f"malformed metadata payload: {exc}") from exc
+        return parse_xml(payload, MetadataError, "metadata payload")
     raise MetadataError(f"metadata payload must be XML text or an Element, not {payload!r}")
 
 

@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
+import calendar
+import csv
 import hashlib
 import json
 import operator
 import os
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MathRepoError
 from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, MetadataError, _as_element
 from .parsers import parse_citation_string, parse_junii2, parse_oai_dc
 
-_DATE_RE = re.compile(r"\d{4}(-\d{2})?(-\d{2})?", re.ASCII)  # YYYY[-MM[-DD]]
+_DATE_RE = re.compile(r"\d{4}(?:-(?:0[1-9]|1[0-2])(?:-(?:0[1-9]|[12]\d|3[01]))?)?", re.ASCII)  # YYYY[-MM[-DD]]
 
 
 class RecordError(MathRepoError):
@@ -84,13 +86,6 @@ def _is_http_url(value: str) -> bool:
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 
 
-_STR_FIELDS = (
-    "record_id", "source", "oai_identifier", "title", "publication", "volume", "issue",
-    "pagerange", "date", "publisher", "official_url", "full_text_url", "msc_primary", "language",
-)
-_str_values = operator.attrgetter(*_STR_FIELDS)
-
-
 @dataclass
 class CanonicalRecord:
     """Normalized article record carrying bibliographic and enrichment fields."""
@@ -141,8 +136,8 @@ class CanonicalRecord:
             raise RecordError("canonical record requires a title")
         if not _is_http_url(self.official_url):
             raise RecordError(f"official_url must be an absolute URL: {self.official_url!r}")
-        if self.date and not _DATE_RE.fullmatch(self.date):
-            raise RecordError(f"date must be YYYY[-MM[-DD]]: {self.date!r}")
+        if self.date and _clean_date(self.date) != self.date:
+            raise RecordError(f"date must be a calendar date YYYY[-MM[-DD]]: {self.date!r}")
         for code in [self.msc_primary, *self.msc_secondary]:
             if not isinstance(code, str) or code and not is_msc_code(code):
                 raise RecordError(f"invalid MSC code on record: {code!r}")
@@ -152,9 +147,18 @@ class CanonicalRecord:
         return int(self.date[:4]) if self.date else None
 
 
+_STR_FIELDS = tuple(f.name for f in fields(CanonicalRecord) if f.type == "str")
+_str_values = operator.attrgetter(*_STR_FIELDS)
+
+
 def _clean_date(value: str) -> str:
+    """The longest leading ``YYYY[-MM[-DD]]`` of ``value`` that names a real calendar date; "" if none."""
     match = _DATE_RE.match(value.strip())
-    return match.group(0) if match else ""
+    date = match.group() if match else ""
+    day = date[8:]  # "" when there is no day
+    if day > "28" and int(day) > calendar.monthrange(int(date[:4]), int(date[5:7]))[1]:
+        return date[:7]  # such as 2009-02-30: the pattern caps a day at 31, not at its month's end
+    return date
 
 
 def _pagerange(spage, epage) -> str:
@@ -352,3 +356,17 @@ def load_records(path) -> list[CanonicalRecord]:
     except UnicodeDecodeError as exc:
         raise StoreError(f"{path}: not UTF-8: {exc}") from exc
     return list(by_id.values())
+
+
+def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, stripped cells)`` per row of a UTF-8 tab-separated table, skipping empty and "#" rows."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
+                if not row or row[0].startswith("#"):
+                    continue
+                if len(row) != width:
+                    raise error(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+                yield lineno, [cell.strip() for cell in row]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import MathRepoError
 from .msc import msc_top_level
 from .parsers import citation_text
-from .records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
-from .xmlutil import first_child, local_name, text_of
+from .records import CanonicalRecord, NameParts, RecordError, RelatedUrl, make_record_id
+from .xmlutil import first_child, local_name, parse_xml, text_of
 
 EPRINTS_NS = "http://eprints.org/ep2/data/2.0"
 ATOM_NS = "http://www.w3.org/2005/Atom"
@@ -144,10 +144,7 @@ def from_eprints_xml(data) -> CanonicalRecord:
     child it is. Platform boilerplate and the derived subjects block are
     ignored; missing provenance elements default to empty strings.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise SerializationError(f"malformed EPrints XML: {exc}") from exc
+    root = parse_xml(data, SerializationError, "EPrints XML")
     ep = root if local_name(root.tag) == "eprint" else first_child(root, "eprint")
     if ep is None:
         raise SerializationError("document has no eprint element")
@@ -164,15 +161,18 @@ def from_eprints_xml(data) -> CanonicalRecord:
     codes = [(item.text or "").strip() for item in items("msc")]
     urls = [(text_of(item, "url"), text_of(item, "type")) for item in items("related_url")]
     mr_text = text_of(ep, "mr")
-    return CanonicalRecord(
-        record_id=make_record_id(texts["source"], texts["oai_identifier"]),
-        creators=[NameParts(family=family, given=given) for family, given in names if family or given],
-        msc_secondary=[code for code in codes if code],
-        mr_number=int(mr_text) if mr_text else None,
-        related_urls=[RelatedUrl(url=url, type=kind) for url, kind in urls if url],
-        refereed=text_of(ep, "refereed") != "FALSE",
-        **texts,
-    )
+    try:
+        return CanonicalRecord(
+            record_id=make_record_id(texts["source"], texts["oai_identifier"]),
+            creators=[NameParts(family=family, given=given) for family, given in names if family or given],
+            msc_secondary=[code for code in codes if code],
+            mr_number=int(mr_text) if mr_text else None,
+            related_urls=[RelatedUrl(url=url, type=kind) for url, kind in urls if url],
+            refereed=text_of(ep, "refereed") != "FALSE",
+            **texts,
+        )
+    except (ValueError, RecordError) as exc:  # a non-integer <mr>, or a field that breaks an invariant
+        raise SerializationError(f"eprint element is not a valid record: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

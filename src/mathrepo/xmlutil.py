@@ -9,6 +9,14 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 
+def parse_xml(data, error: type[Exception], what: str) -> ET.Element:
+    """Parse XML text or bytes; a parse failure is ``error("malformed <what>: ...")``."""
+    try:
+        return ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+
+
 def local_name(tag) -> str:
     if not isinstance(tag, str):
         return ""  # comments / processing instructions

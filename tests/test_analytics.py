@@ -481,6 +481,30 @@ class TestExportSeries:
         paths = export_series(series, tmp_path, nodes=["10"])
         assert set(paths["svg"]) == {"10"}
 
+    @staticmethod
+    def chart_points(path) -> list[list[str]]:
+        root = ET.fromstring(path.read_text(encoding="utf-8"))
+        return [el.get("points").split() for el in root.iter() if el.tag.endswith("polyline")]
+
+    def test_one_window_series_is_drawn_mid_axis(self, tmp_path):
+        records = [
+            classified_record(1, 2000, "10A05", ["20B05"]),
+            classified_record(2, 2001, "20A05", ["10B05"]),
+        ]
+        series = sliding_window_series(records, 2000, 2000, window=2)  # --from 2000 --to 2000
+        paths = export_series(series, tmp_path)
+        for path in paths["svg"].values():
+            points = self.chart_points(path)
+            assert len(points) == 4  # one point per curve, at the middle of the year axis
+            assert all(len(curve) == 1 and curve[0].startswith("320.0,") for curve in points)
+
+    def test_rank_one_everywhere_is_drawn_at_the_top(self, tmp_path):
+        records = [classified_record(n, year, "10A05", ["10B05"]) for n, year in enumerate((2000, 2001))]
+        series = sliding_window_series(records, 2000, 2001, window=1)
+        (path,) = export_series(series, tmp_path)["svg"].values()
+        # one node per window: both ranks are 1 and both scores are 1.0, so every curve runs along the top
+        assert self.chart_points(path) == [["60.0,50.0", "580.0,50.0"]] * 4
+
     def test_empty_series_rejected(self, tmp_path):
         from mathrepo.analytics import WindowSeries
 

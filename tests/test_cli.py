@@ -507,8 +507,29 @@ class TestSettingsAndInputs:
         assert "typo.json" in caplog.text
         assert not (tmp_path / "records.jsonl").exists()
         # only the default file may be missing; then every setting keeps its default
+        (tmp_path / "records.jsonl").write_bytes(b"")
         assert main(["enrich", "--mr-table", "mr.tsv"]) == 0
         assert (tmp_path / "records.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enrich", "--mr-table", "mr.tsv"],
+            ["export", "--format", "eprints"],
+            ["stats", "--totals", "totals.tsv"],
+            ["hits", "--from", "2000", "--to", "2001"],
+        ],
+        ids=["enrich", "export", "stats", "hits"],
+    )
+    def test_missing_store_exits_one_naming_it(self, tmp_path, monkeypatch, caplog, argv):
+        # only transform starts without a store; every later stage needs the one it names
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mr.tsv").write_text("", encoding="utf-8")
+        (tmp_path / "totals.tsv").write_text("53\t3307\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--store", "typo.jsonl", *argv]) == 1
+        assert "typo.jsonl" in caplog.text
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "make, argv",

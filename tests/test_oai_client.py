@@ -106,6 +106,10 @@ class TestEnvelopeParsing:
         with pytest.raises(EnvelopeError):
             parse_oai_envelope(b"<record><header></record>")
 
+    def test_record_without_header(self):
+        with pytest.raises(EnvelopeError, match="without header"):
+            parse_oai_envelope("<record><metadata><data>x</data></metadata></record>")
+
     def test_missing_identifier(self):
         xml = "<record><header><datestamp>2009-01-01</datestamp></header></record>"
         with pytest.raises(EnvelopeError, match="identifier"):
@@ -163,6 +167,15 @@ class TestFixtureServerPaging:
         with serve_fixtures(tmp_path, page_size=5) as server:
             records = list_records(endpoint_for(server))
         assert [r.identifier for r in records] == identifiers
+
+    def test_delay_comes_between_page_fetches(self, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("mathrepo.oai_client.time.sleep", sleeps.append)
+        identifiers = write_dc_fixture_dir(tmp_path, count=3)
+        with serve_fixtures(tmp_path, page_size=1) as server:
+            records = list_records(endpoint_for(server), HttpTransport(delay=0.25))
+        assert [r.identifier for r in records] == identifiers
+        assert sleeps == [0.25, 0.25]  # three pages, no pause before the first
 
     def test_no_records_match_is_empty_success(self, tmp_path):
         with serve_fixtures(tmp_path, page_size=2) as server:

@@ -141,6 +141,11 @@ class TestParseJunii2:
         with pytest.raises(MetadataError, match="ISSN"):
             parse_junii2(payload)
 
+    def test_missing_title_raises(self):
+        payload = '<meta xmlns="http://ju.nii.ac.jp/junii2"><URI>http://example.org/x</URI></meta>'
+        with pytest.raises(MetadataError, match="no title"):
+            parse_junii2(payload)
+
     def test_missing_uri_raises(self):
         payload = '<meta xmlns="http://ju.nii.ac.jp/junii2"><title>T</title></meta>'
         with pytest.raises(MetadataError, match="URI"):

@@ -72,6 +72,36 @@ class TestCanonicalFromDc:
         assert rec.official_url == "http://example.org/a"
         assert rec.publication == "" and rec.pagerange == ""
 
+    def test_second_url_identifier_is_a_related_url(self):
+        dc = parse_oai_dc(
+            '<dc xmlns:dc="http://purl.org/dc/elements/1.1/"><dc:title>T</dc:title>'
+            "<dc:identifier>http://example.org/a</dc:identifier>"
+            "<dc:identifier>http://example.org/b</dc:identifier></dc>"
+        )
+        rec = canonical_from_dc(dc, "src", "oai:x:1")
+        assert rec.official_url == "http://example.org/a"
+        assert rec.related_urls == [RelatedUrl(url="http://example.org/b", type="url")]
+
+    def test_date_falls_back_to_the_citation_year(self):
+        dc = parse_oai_dc(
+            '<dc xmlns:dc="http://purl.org/dc/elements/1.1/"><dc:title>T</dc:title>'
+            "<dc:identifier>http://example.org/a</dc:identifier>"
+            "<dc:identifier>J. Example 12 (1987), 1-2</dc:identifier></dc>"
+        )
+        rec = canonical_from_dc(dc, "src", "oai:x:1")
+        assert rec.date == "1987" and rec.publication == "J. Example"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("2009-02-30", "2009-02"), ("2009-13-45", "2009"), ("2008-02-29", "2008-02-29")],
+    )
+    def test_date_keeps_its_longest_real_prefix(self, value, expected):
+        dc = parse_oai_dc(
+            '<dc xmlns:dc="http://purl.org/dc/elements/1.1/"><dc:title>T</dc:title>'
+            f"<dc:date>{value}</dc:date><dc:identifier>http://example.org/a</dc:identifier></dc>"
+        )
+        assert canonical_from_dc(dc, "src", "oai:x:1").date == expected
+
     def test_unsplittable_creator(self):
         dc = parse_oai_dc(
             '<dc xmlns:dc="http://purl.org/dc/elements/1.1/"><dc:title>T</dc:title>'
@@ -134,6 +164,17 @@ class TestCanonicalFromJunii2:
         rec = canonical_from_junii2(junii2, "src", "oai:x:1")
         assert rec.pagerange == "9"
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("2009-02-30", "2009-02"), ("2009-13-45", "2009"), ("2008-02-29", "2008-02-29")],
+    )
+    def test_date_keeps_its_longest_real_prefix(self, value, expected):
+        junii2 = parse_junii2(
+            '<meta xmlns="http://ju.nii.ac.jp/junii2"><title>T</title>'
+            f"<URI>http://example.org/x</URI><dateofissued>{value}</dateofissued></meta>"
+        )
+        assert canonical_from_junii2(junii2, "src", "oai:x:1").date == expected
+
     def test_empty_volume_stays_absent(self):
         junii2 = parse_junii2(
             '<meta xmlns="http://ju.nii.ac.jp/junii2"><title>T</title>'
@@ -187,8 +228,24 @@ class TestInvariants:
             make_record(mr_number=0)
 
     def test_bad_date_rejected(self):
-        with pytest.raises(RecordError, match="date"):
-            make_record(date="December 1995")
+        # the last five have the shape but name no calendar date
+        for date in ["December 1995", " 1995", "1995-06x", "2009-02-30", "1900-02-29", "2009-04-31",
+                     "2009-13", "2009-00-10"]:
+            with pytest.raises(RecordError, match="date"):
+                make_record(date=date)
+
+    @pytest.mark.parametrize("date", ["2008-02-29", "2000-02-29", "2009-12-31", "2009-12", "0000"])
+    def test_real_date_accepted(self, date):
+        assert make_record(date=date).date == date
+
+    def test_empty_title_rejected(self):
+        with pytest.raises(RecordError, match="requires a title"):
+            make_record(title="")
+
+    @pytest.mark.parametrize("url", ["", "ftp://example.org/a", "example.org/a"])
+    def test_official_url_must_be_http(self, url):
+        with pytest.raises(RecordError, match="official_url must be an absolute URL"):
+            make_record(official_url=url)
 
     # Arabic-Indic and fullwidth digits are Unicode decimal digits, not date digits
     @pytest.mark.parametrize("date", ["\u0661\u0669\u0669\u0668", "\uff11\uff19\uff19\uff18-06"])
@@ -391,6 +448,13 @@ class TestStore:
         store_records([euclid_canonical()], path)
         append_edited_line(path, field, value)
         with pytest.raises(StoreError, match=f"{re.escape(str(path))}:2: .*{message}"):
+            load_records(path)
+
+    def test_impossible_date_names_the_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store_records([euclid_canonical()], path)
+        append_edited_line(path, "date", "2009-02-30")
+        with pytest.raises(StoreError, match=f"{re.escape(str(path))}:2: .*date"):
             load_records(path)
 
     def test_unknown_key_loads_in_strict_mode(self, tmp_path):

@@ -44,6 +44,9 @@ def horie_record():
     )
 
 
+_URL = "<official_url>http://example.org/a</official_url>"
+
+
 class TestEprintsReader:
     def test_reads_archived_article_fixture(self):
         rec = from_eprints_xml(EPRINTS_ARTICLE.read_bytes())
@@ -69,8 +72,11 @@ class TestEprintsReader:
             ("<eprints><eprint><title>T</title></eprints>", "malformed EPrints XML"),
             ("<eprints><item><title>T</title></item></eprints>", "no eprint element"),
             ("<eprints><eprint><title> </title></eprint></eprints>", "no title"),
+            (f"<eprint><title>T</title>{_URL}<mr>abc</mr></eprint>", "not a valid record: invalid literal"),
+            ("<eprint><title>T</title><official_url></official_url></eprint>", "official_url"),
+            (f"<eprint><title>T</title>{_URL}<date>May 2009</date></eprint>", "date must be"),
         ],
-        ids=["malformed", "no_eprint", "empty_title"],
+        ids=["malformed", "no_eprint", "empty_title", "mr_not_integer", "no_official_url", "date_not_a_date"],
     )
     def test_unreadable_document_is_serialization_error(self, doc, message):
         with pytest.raises(SerializationError, match=message):
