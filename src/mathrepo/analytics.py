@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .errors import MathRepoError
 from .msc import msc_top_level
-from .records import CanonicalRecord, read_table
+from .records import Classification, read_table
 
 # numpy is imported inside the functions that build graphs and score them, so
 # every CLI stage but `hits`, and `serve-fixtures`, starts without it
@@ -67,7 +67,7 @@ def share_rows_from_counts(
 
 
 def field_share_table(
-    records: Iterable[CanonicalRecord], totals: Mapping[str, int]
+    records: Iterable[Classification], totals: Mapping[str, int]
 ) -> list[FieldShareRow]:
     """Article share per top-level field, counting primary classifications."""
     counts: dict[str, int] = {}
@@ -125,7 +125,7 @@ class MscGraph:
 
 
 def _window_graphs(
-    records: Iterable[CanonicalRecord], year_of: Callable, first: int, last: int, window: int
+    records: Iterable[Classification], year_of: Callable, first: int, last: int, window: int
 ) -> Iterator[MscGraph]:
     """Yield, for Y = first..last, the graph of the records whose ``year_of`` is in [Y, Y+window-1].
     Each record's pairs are read once into a running N x N count matrix that moves a year per step."""
@@ -152,7 +152,7 @@ def _window_graphs(
         yield MscGraph(nodes=[nodes[i] for i in keep], weights=weights[np.ix_(keep, keep)])
 
 
-def build_msc_graph(records: Iterable[CanonicalRecord]) -> MscGraph:
+def build_msc_graph(records: Iterable[Classification]) -> MscGraph:
     """Accumulate one unit of weight per (primary, secondary) code pair.
 
     An article with primary p and secondaries s1..sk adds weight 1 to each
@@ -276,7 +276,7 @@ class WindowSeries:
 
 
 def sliding_window_series(
-    records: Iterable[CanonicalRecord],
+    records: Iterable[Classification],
     start_year: int,
     end_year: int,
     window: int = 10,

@@ -20,7 +20,7 @@ from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
 from .oai_client import parse_oai_envelope, serialize_envelope
-from .records import _is_http_url, canonicalize, load_records, make_record_id, store_records
+from .records import _is_http_url, canonicalize, load_classifications, load_records, make_record_id, store_records
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -270,7 +270,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
     if not config.totals:
         raise UsageError("no totals file configured; pass --totals or set totals in the config")
     totals = analytics.load_totals(config.totals)
-    rows = analytics.field_share_table(load_records(config.store), totals)
+    rows = analytics.field_share_table(load_classifications(config.store), totals)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "field_share.csv"
@@ -286,7 +286,7 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 
 def cmd_hits(args, config: PipelineConfig) -> int:
-    records = load_records(config.store)
+    records = load_classifications(config.store)
     if not records:
         log.warning("store is empty; series will carry zero scores")
     try:

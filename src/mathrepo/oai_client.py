@@ -277,11 +277,18 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
         page += 1
 
 
+# the longest Retry-After wait honoured, so one answer cannot stall a harvest
+_RETRY_AFTER_CAP_S = 30
+
+
 def _fetch(endpoint, transport, params, page, retries) -> bytes:
     """One page, retrying transport failures and 5xx/429 answers; any other
-    HTTP status is final."""
+    HTTP status is final. Before a retry, a 503 or 429 answer's ``Retry-After``
+    in whole seconds is slept, up to ``_RETRY_AFTER_CAP_S``."""
     last_error = None
     for _ in range(retries + 1):
+        if wait := _retry_after(last_error):  # 0 before the first attempt
+            time.sleep(wait)
         try:
             return transport.get(endpoint.base_url, params)
         except (OSError, http.client.HTTPException) as exc:
@@ -291,3 +298,12 @@ def _fetch(endpoint, transport, params, page, retries) -> bytes:
     raise HarvestError(
         f"endpoint {endpoint.name!r} page {page}: {last_error}"
     ) from last_error
+
+
+def _retry_after(exc) -> int:
+    """The capped seconds of a 503 or 429 answer's ``Retry-After``; 0 for an HTTP date or none."""
+    if isinstance(exc, urllib.error.HTTPError) and exc.code in (429, 503):
+        value = ((exc.headers or {}).get("Retry-After") or "").strip()
+        if value.isascii() and value.isdigit():
+            return min(int(value), _RETRY_AFTER_CAP_S)
+    return 0

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import calendar
 import csv
+import gc
 import hashlib
 import json
+import marshal
 import operator
 import os
 import re
@@ -13,7 +15,7 @@ import urllib.parse
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MathRepoError
 from .msc import is_msc_code
@@ -288,31 +290,27 @@ def _json_list(data: dict, key: str) -> list:
 
 
 def _from_json(data: dict) -> CanonicalRecord:
-    return CanonicalRecord(
-        record_id=data["record_id"],
-        source=data["source"],
-        oai_identifier=data["oai_identifier"],
-        title=data["title"],
-        creators=[
-            NameParts(family=n["family"], given=n.get("given", ""), raw=n.get("raw", ""))
-            for n in _json_list(data, "creators")
-        ],
-        publication=data.get("publication", ""),
-        volume=data.get("volume", ""),
-        issue=data.get("issue", ""),
-        pagerange=data.get("pagerange", ""),
-        date=data.get("date", ""),
-        publisher=data.get("publisher", ""),
-        official_url=data.get("official_url", ""),
-        full_text_url=data.get("full_text_url", ""),
-        msc_primary=data.get("msc_primary", ""),
-        msc_secondary=data.get("msc_secondary", []),
-        mr_number=data.get("mr_number"),
-        related_urls=[
-            RelatedUrl(url=r["url"], type=r.get("type", "")) for r in _json_list(data, "related_urls")
-        ],
-        refereed=data.get("refereed", True),
-        language=data.get("language", ""),
+    get = data.get
+    return CanonicalRecord(  # by position, in field order
+        data["record_id"],
+        data["source"],
+        data["oai_identifier"],
+        data["title"],
+        [NameParts(n["family"], n.get("given", ""), n.get("raw", "")) for n in _json_list(data, "creators")],
+        get("publication", ""),
+        get("volume", ""),
+        get("issue", ""),
+        get("pagerange", ""),
+        get("date", ""),
+        get("publisher", ""),
+        get("official_url", ""),
+        get("full_text_url", ""),
+        get("msc_primary", ""),
+        get("msc_secondary", []),
+        get("mr_number"),
+        [RelatedUrl(r["url"], r.get("type", "")) for r in _json_list(data, "related_urls")],
+        get("refereed", True),
+        get("language", ""),
     )
 
 
@@ -335,27 +333,135 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
     return len(records)
 
 
+def _decoded(path, lines: Iterable[str], first_lineno: int = 1) -> Iterator[CanonicalRecord]:
+    """Decode store lines, the first of them numbered ``first_lineno``, skipping blank ones.
+    A malformed line is a ``StoreError`` naming the file and line number."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = _from_json(json.loads(line))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
+            raise StoreError(f"{path}:{lineno}: {exc}") from exc
+        yield rec
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> StoreError:
+    return StoreError(f"{path}: not UTF-8: {exc}")
+
+
 def load_records(path) -> list[CanonicalRecord]:
     """Load a record store, deduplicating by record_id (later lines win).
 
     A malformed line is a ``StoreError`` naming the file and line number; bytes
     that are not UTF-8 are one naming the file.
     """
-    by_id: dict[str, CanonicalRecord] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = _from_json(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
-                    raise StoreError(f"{path}:{lineno}: {exc}") from exc
-                by_id[rec.record_id] = rec
+            by_id = {rec.record_id: rec for rec in _decoded(path, fh)}
     except UnicodeDecodeError as exc:
-        raise StoreError(f"{path}: not UTF-8: {exc}") from exc
+        raise _not_utf8(path, exc) from exc
     return list(by_id.values())
+
+
+class Classification(NamedTuple):
+    """The three values of a record that ``stats`` and ``hits`` read; a
+    ``CanonicalRecord`` has the same attributes and serves in its place."""
+
+    msc_primary: str
+    msc_secondary: list[str]
+    year: int | None
+
+
+# the fewest store lines worth a decoder process of their own
+_LINES_PER_PROCESS = 2000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _classified(path, lines: list[str], first_lineno: int) -> list[tuple]:
+    """``(record_id, msc_primary, msc_secondary, year)`` of each record on ``lines``, each
+    record dropped as soon as it is read."""
+    return [(rec.record_id, rec.msc_primary, rec.msc_secondary, rec.year)
+            for rec in _decoded(path, lines, first_lineno)]
+
+
+def _fork_classifier(path, lines: list[str], first_lineno: int) -> tuple[int, int]:
+    """Start a child that sends ``marshal.dumps((True, rows))`` of ``lines``, or
+    ``(False, message)`` of its ``StoreError``, down a pipe; returns its pid and the read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:  # never return into the caller's stack, nor flush buffers inherited from it
+            os.close(read_fd)
+            try:
+                reply = (True, _classified(path, lines, first_lineno))
+            except StoreError as exc:
+                reply = (False, str(exc))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(reply))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reply(pid: int, read_fd: int) -> bytes:
+    """What the child sent, once it has ended; b"" if it sent nothing or did not end cleanly."""
+    data = b""
+    try:  # an unreadable pipe must not keep the caller from reaping this child and the rest
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    except OSError:
+        pass
+    return data if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 else b""
+
+
+def load_classifications(path) -> list[Classification]:
+    """The ``Classification`` of each record in a store, deduplicated as ``load_records``
+    does, with its checks and its ``StoreError`` for the first malformed line.
+
+    The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
+    lines; this process decodes the first chunk and a forked child each of the others.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # newline=None: the lines that file iteration gives
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    collecting = gc.isenabled()
+    gc.disable()  # each record is dropped once projected, so no garbage cycle builds up
+    try:
+        return _classified_in_chunks(path, lines)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _classified_in_chunks(path, lines: list[str]) -> list[Classification]:
+    chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
+    bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
+    children = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_classifier(path, lines[start:stop], start + 1))
+        rows = _classified(path, lines[:bounds[1]], 1)
+    finally:
+        replies = [_reply(pid, read_fd) for pid, read_fd in children]
+    for reply in replies:  # in line order, so the first bad line is the one reported
+        if not reply:
+            raise StoreError(f"{path}: a decoder process ended without a result")
+        ok, value = marshal.loads(reply)
+        if not ok:
+            raise StoreError(value)
+        rows += value
+    return list({rid: Classification(primary, secondary, year) for rid, primary, secondary, year in rows}.values())
 
 
 def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:

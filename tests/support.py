@@ -125,6 +125,13 @@ def classified_record(n: int, year: int, primary: str, secondary: list[str]) -> 
     )
 
 
+def force_fork(monkeypatch, cpus: int = 3, lines_per_process: int = 10) -> None:
+    """Make ``load_classifications`` split a small store into up to ``cpus`` chunks,
+    one per process, on any host."""
+    monkeypatch.setattr("mathrepo.records._LINES_PER_PROCESS", lines_per_process)
+    monkeypatch.setattr("mathrepo.records._cpu_count", lambda: cpus)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
 

@@ -23,6 +23,7 @@ from support import (
     OCHANOMIZU_JUNII2,
     classified_record,
     dc_record_xml,
+    force_fork,
     serve_handler,
     write_dc_fixture_dir,
 )
@@ -360,8 +361,8 @@ class TestDeletions:
 
 
 def stage_inputs(tmp_path):
-    """A two-record store, a one-record spool and a lookup table, enough for
-    transform, enrich and export; returns the store path and the config."""
+    """A two-record store, a one-record spool, a lookup table and a totals file, enough
+    for every stage but harvest; returns the store path and the config."""
     store = tmp_path / "records.jsonl"
     store_records([classified_record(1, 1998, "", []), classified_record(2, 1999, "", [])], store)
     spool = tmp_path / "spool"
@@ -369,24 +370,34 @@ def stage_inputs(tmp_path):
     (spool / "src.xml").write_text(dc_envelope(dc_record_xml("oai:x:1")), encoding="utf-8")
     table = tmp_path / "mr.tsv"
     table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
-    return store, write_config(tmp_path, endpoints=[], mr_table=str(table))
+    totals = tmp_path / "totals.tsv"
+    totals.write_text("53\t100\n", encoding="utf-8")
+    return store, write_config(tmp_path, endpoints=[], mr_table=str(table), totals=str(totals))
 
 
 class TestMalformedStore:
     @pytest.mark.parametrize(
-        "argv",
-        [("transform",), ("enrich",), ("export", "--format", "eprints")],
-        ids=["transform", "enrich", "export"],
+        "argv, forked",
+        [
+            (("transform",), False), (("enrich",), False), (("export", "--format", "eprints"), False),
+            (("stats",), False), (("hits", "--from", "1998", "--to", "1999"), False),
+            (("stats",), True), (("hits", "--from", "1998", "--to", "1999"), True),
+        ],
+        ids=["transform", "enrich", "export", "stats", "hits", "stats-forked", "hits-forked"],
     )
-    def test_malformed_line_stops_the_stage(self, tmp_path, caplog, argv):
+    def test_malformed_line_stops_the_stage(self, tmp_path, caplog, monkeypatch, argv, forked):
         store, config = stage_inputs(tmp_path)
         with open(store, "a", encoding="utf-8") as fh:
             fh.write('{"record_id": "broken"\n')
         before = store.read_bytes()
+        if forked:
+            force_fork(monkeypatch, lines_per_process=1)  # lines 1, 2 and 3-4, the last in a child
         assert run(config, *argv) == 1
         assert f"{store}:3" in caplog.text
         assert store.read_bytes() == before
         assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_value_of_wrong_type_stops_enrich(self, tmp_path, caplog):
         store, config = stage_inputs(tmp_path)
@@ -767,6 +778,27 @@ class TestStatsHits:
             for path in sorted([out / "hits_series.csv", *out.glob("hits_*.svg")])
         }
         assert digests == HITS_GOLDEN
+
+    def test_forked_decoders_write_the_same_bytes(self, tmp_path, monkeypatch):
+        records = [
+            classified_record(n, 1990 + n % 12, f"{FIELDS[n % 5]}A{10 + n % 7}",
+                              [f"{FIELDS[(n + k) % 7]}B20" for k in range(n % 4)])
+            for n in range(60)
+        ]
+        store_records([*records, dataclasses.replace(records[3], msc_primary="05A15")], tmp_path / "records.jsonl")
+        totals = tmp_path / "totals.tsv"
+        totals.write_text("".join(f"{field}\t1000\n" for field in FIELDS), encoding="utf-8")
+        outputs = {}
+        for name, chunks in (("serial", 1), ("forked", 3)):
+            force_fork(monkeypatch, cpus=chunks, lines_per_process=10)
+            config = write_config(tmp_path, endpoints=[], output_dir=str(tmp_path / name))
+            assert run(config, "stats", "--totals", str(totals)) == 0
+            assert run(config, "hits", "--from", "1990", "--to", "1995", "--window", "3") == 0
+            outputs[name] = {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())}
+        assert {"field_share.csv", "hits_series.csv"} <= outputs["serial"].keys()
+        assert outputs["forked"] == outputs["serial"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])

@@ -280,6 +280,67 @@ class TestFixtureServerPaging:
         assert len(paths) == requests
 
     @staticmethod
+    def harvest_through(monkeypatch, answers):
+        """Harvest one page from a server that sends ``answers`` in turn, each a status and
+        a ``Retry-After`` value or None (a 200 sends one record); returns the records or the
+        ``HarvestError``, and the waits slept, none of them in real time."""
+        waits = []
+        monkeypatch.setattr("mathrepo.oai_client.time.sleep", waits.append)
+        answers = list(answers)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                status, retry_after = answers.pop(0)
+                body = (
+                    f'<OAI-PMH xmlns="http://www.openarchives.org/OAI/2.0/">'
+                    f"<ListRecords>{dc_record_xml('oai:x:1')}</ListRecords></OAI-PMH>"
+                ).encode() if status == 200 else b""
+                self.send_response(status)
+                if retry_after is not None:
+                    self.send_header("Retry-After", retry_after)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with serve_handler(Handler) as base_url:
+            endpoint = EndpointConfig(name="busy", base_url=f"{base_url}/oai", metadata_prefix="oai_dc")
+            try:
+                outcome = list_records(endpoint, HttpTransport(timeout=5), retries=2)
+            except HarvestError as exc:
+                outcome = exc
+        assert answers == []
+        return outcome, waits
+
+    def test_retry_after_is_slept_before_each_retry(self, monkeypatch):
+        records, waits = self.harvest_through(monkeypatch, [(503, "2"), (503, "2"), (200, None)])
+        assert waits == [2, 2]
+        assert [r.identifier for r in records] == ["oai:x:1"]
+
+    @pytest.mark.parametrize(
+        "answer, wait",
+        [
+            ((503, "100000"), [30]),  # capped
+            ((429, "1"), [1]),
+            ((503, None), []),
+            ((503, "Wed, 21 Oct 2015 07:28:00 GMT"), []),  # an HTTP date is not honoured
+            ((500, "5"), []),
+        ],
+        ids=["capped", "429", "no-header", "http-date", "500"],
+    )
+    def test_retry_after_wait(self, monkeypatch, answer, wait):
+        records, waits = self.harvest_through(monkeypatch, [answer, (200, None)])
+        assert waits == wait
+        assert len(records) == 1
+
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+        error, waits = self.harvest_through(monkeypatch, [(503, "3")] * 3)
+        assert isinstance(error, HarvestError) and "503" in str(error)
+        assert waits == [3, 3]
+
+    @staticmethod
     def token_rejecting_handler(requests, rejections):
         """Two pages joined by the token "t1"; the first ``rejections`` requests for
         "t1" get ``badResumptionToken``."""

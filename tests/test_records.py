@@ -3,17 +3,21 @@
 import dataclasses
 import errno
 import json
+import os
 import re
+import signal
 import urllib.parse
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mathrepo import records
 from mathrepo.oai_client import parse_oai_envelope
 from mathrepo.parsers import MetadataError, parse_junii2, parse_oai_dc
 from mathrepo.records import (
     CanonicalRecord,
+    Classification,
     NameParts,
     RecordError,
     RelatedUrl,
@@ -23,13 +27,15 @@ from mathrepo.records import (
     canonical_from_dc,
     canonical_from_junii2,
     canonicalize,
+    load_classifications,
     load_records,
     make_record_id,
     split_name,
     store_records,
 )
 
-from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, make_record, msc_codes
+from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, classified_record, force_fork
+from support import make_record, msc_codes
 
 
 def euclid_canonical():
@@ -526,3 +532,132 @@ class TestStore:
         assert [dataclasses.asdict(r) for r in loaded] == [
             dataclasses.asdict(r) for r in records
         ]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counted_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def thirty_line_store(path):
+    """30 records, lines 1-30. Forced to three chunks of lines 1-10, 11-20 and 21-31 (the
+    empty text after the last newline), lines 15 and 25 repeat the ids of lines 6 and 18."""
+    recs = [classified_record(n, 1950 + n, f"{10 + n}A05", [f"{40 + k}B10" for k in range(n % 3)])
+            for n in range(30)]
+    recs[14] = dataclasses.replace(recs[5], msc_primary="53A35")
+    recs[24] = dataclasses.replace(recs[17], date="")
+    store_records(recs, path)
+    return recs
+
+
+def replace_lines(path, edits: dict[int, bytes]):
+    lines = path.read_bytes().split(b"\n")
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestLoadClassifications:
+    def test_projection_of_load_records_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        expected = [Classification(r.msc_primary, r.msc_secondary, r.year) for r in load_records(path)]
+        assert len(expected) == 28
+        assert expected[5] == ("53A35", ["40B10", "41B10"], 1955)  # later lines win, in first place
+        assert expected[16] == ("27A05", ["40B10", "41B10"], None)
+        assert load_classifications(path) == expected  # in-process
+        force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        assert load_classifications(path) == expected
+        assert len(forks) == 2
+        no_child_left()
+
+    def test_small_store_stays_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(records, "_cpu_count", lambda: 3)
+        assert len(load_classifications(path)) == 28  # 31 lines < 2 * _LINES_PER_PROCESS
+        force_fork(monkeypatch)
+        monkeypatch.delattr(os, "fork")
+        assert len(load_classifications(path)) == 28
+        assert forks == []
+
+    @pytest.mark.parametrize(
+        "first, edits",
+        [
+            (15, {15: b'{"record_id": "broken"', 28: b'{"record_id": 5'}),
+            (3, {3: b'{"record_id": "broken"', 25: b'{"record_id": 5'}),
+            (28, {28: b'{"record_id": "broken"'}),
+            (22, {22: b'{"record_id": "x", "source": "s", "oai_identifier": "o", "title": "t", "official_url": 5}'}),
+        ],
+        ids=["middle-and-last", "parent-and-last", "last", "record-check"],
+    )
+    def test_first_bad_line_is_reported_as_load_records_does(self, tmp_path, monkeypatch, first, edits):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        replace_lines(path, edits)
+        with pytest.raises(StoreError) as serial:
+            load_records(path)
+        assert str(serial.value).startswith(f"{path}:{first}: ")
+        force_fork(monkeypatch)
+        with pytest.raises(StoreError) as forked:
+            load_classifications(path)
+        assert str(forked.value) == str(serial.value)
+        no_child_left()
+
+    def test_bytes_not_utf8_in_a_child_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        replace_lines(path, {25: b'{"title": "\xff"}'})
+        force_fork(monkeypatch)
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: not UTF-8"):
+            load_classifications(path)
+        no_child_left()
+
+    @pytest.mark.parametrize("death", ["exit", "kill"])
+    def test_child_that_sends_nothing_is_an_error(self, tmp_path, monkeypatch, death):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        force_fork(monkeypatch)
+        parent, real = os.getpid(), records._classified
+
+        def dying(*args):
+            if os.getpid() != parent:
+                if death == "exit":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(records, "_classified", dying)
+        with pytest.raises(StoreError, match="ended without a result"):
+            load_classifications(path)
+        no_child_left()
+
+    def test_children_are_reaped_when_the_parent_chunk_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        force_fork(monkeypatch)
+        parent, real = os.getpid(), records._classified
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(records, "_classified", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_classifications(path)
+        no_child_left()
