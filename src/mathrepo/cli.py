@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analytics
-from .enrich import enrich as enrich_records, load_mr_table
+from .enrich import EnrichReport, enrich_record, load_mr_table
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
 from .oai_client import parse_oai_envelope, serialize_envelope
-from .records import _is_http_url, canonicalize, load_classifications, load_records, make_record_id, store_records
+from .records import _is_http_url, canonicalize, load_classifications, load_lines, load_records, make_record_id
+from .records import map_store, store_line, store_lines
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -146,19 +147,24 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return config
 
 
-def _write_store(records, config: PipelineConfig) -> int:
+def _write_store(lines: dict[str, str], config: PipelineConfig) -> int:
+    """Write each record's store line, given by record_id; returns the count written."""
     # Sorted by record_id so reruns produce byte-identical stores.
-    ordered = sorted(records, key=lambda rec: rec.record_id)
     Path(config.store).parent.mkdir(parents=True, exist_ok=True)
-    return store_records(ordered, config.store)
+    store_lines((lines[record_id] for record_id in sorted(lines)), config.store)
+    return len(lines)
 
 
 def cmd_harvest(args, config: PipelineConfig) -> int:
     endpoints = config.endpoints
     if args.endpoint:
+        known = {e.name for e in endpoints}
+        unknown = [name for name in dict.fromkeys(args.endpoint) if name not in known]
+        if unknown:
+            raise UsageError(f"--endpoint names no configured endpoint: {', '.join(unknown)}")
         endpoints = [e for e in endpoints if e.name in set(args.endpoint)]
     if not endpoints:
-        raise UsageError("no endpoints selected; check --endpoint names and the config")
+        raise UsageError("no endpoints configured")
     spool = Path(config.spool_dir)
     spool.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -187,7 +193,7 @@ def cmd_transform(args, config: PipelineConfig) -> int:
         log.error("spool directory %s has no envelopes; run harvest first", spool)
         return EXIT_PARTIAL
     # the one stage that may run without a store: its first run creates it
-    merged = {rec.record_id: rec for rec in load_records(config.store)} if Path(config.store).exists() else {}
+    merged = load_lines(config.store) if Path(config.store).exists() else {}
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
@@ -201,9 +207,9 @@ def cmd_transform(args, config: PipelineConfig) -> int:
                 failed += 1
                 log.warning("cannot canonicalize %s: %s", oai_rec.identifier, exc)
                 continue
-            merged[rec.record_id] = rec
+            merged[rec.record_id] = store_line(rec, config.store)
             parsed += 1
-    count = _write_store(merged.values(), config)
+    count = _write_store(merged, config)
     print(f"transform: {parsed} parsed, {failed} failed, store has {count} records")
     return EXIT_OK
 
@@ -212,10 +218,14 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
     if not config.mr_table:
         raise UsageError("no lookup table configured; pass --mr-table or set mr_table in the config")
     table = load_mr_table(config.mr_table)
-    records = load_records(config.store)
-    enriched, report = enrich_records(records, table)
-    _write_store(enriched, config)
-    print(f"enrich: {report.summary()}")
+
+    def enriched_line(rec):
+        rec, outcome = enrich_record(rec, table)
+        return rec.record_id, (store_line(rec, config.store), outcome)
+
+    rows = map_store(config.store, enriched_line)
+    _write_store({record_id: line for record_id, (line, _) in rows.items()}, config)
+    print(f"enrich: {EnrichReport.of(outcome for _, outcome in rows.values()).summary()}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ import functools
 import re
 import string
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -121,6 +122,12 @@ class EnrichReport:
     unmatched: int = 0
     skipped: int = 0
 
+    @classmethod
+    def of(cls, outcomes: Iterable[str]) -> EnrichReport:
+        """The count of each outcome that ``enrich_record`` gave."""
+        counts = Counter(outcomes)
+        return cls(counts["matched"], counts["unmatched"], counts["skipped"])
+
     def summary(self) -> str:
         return f"{self.matched} matched, {self.unmatched} unmatched, {self.skipped} skipped"
 
@@ -145,6 +152,18 @@ def _apply_entry(rec: CanonicalRecord, entry: MrEntry) -> CanonicalRecord:
     )
 
 
+def enrich_record(rec: CanonicalRecord, table: Mapping[MatchKey, MrEntry]) -> tuple[CanonicalRecord, str]:
+    """``rec`` enriched from ``table``, and the outcome: "matched", "unmatched", or
+    "skipped" for a record without a usable key. Only a matched record changes."""
+    key = make_match_key(rec)
+    if key is None:
+        return rec, "skipped"
+    entry = table.get(key)
+    if entry is None:
+        return rec, "unmatched"
+    return _apply_entry(rec, entry), "matched"
+
+
 def enrich(
     records: Iterable[CanonicalRecord], table: Mapping[MatchKey, MrEntry]
 ) -> tuple[list[CanonicalRecord], EnrichReport]:
@@ -156,19 +175,5 @@ def enrich(
     are skipped. Idempotent: a record that already carries its entry is
     passed through as the same object.
     """
-    report = EnrichReport()
-    out: list[CanonicalRecord] = []
-    for rec in records:
-        key = make_match_key(rec)
-        if key is None:
-            report.skipped += 1
-            out.append(rec)
-            continue
-        entry = table.get(key)
-        if entry is None:
-            report.unmatched += 1
-            out.append(rec)
-            continue
-        report.matched += 1
-        out.append(_apply_entry(rec, entry))
-    return out, report
+    results = [enrich_record(rec, table) for rec in records]
+    return [rec for rec, _ in results], EnrichReport.of(outcome for _, outcome in results)

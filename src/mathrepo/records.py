@@ -15,7 +15,7 @@ import urllib.parse
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MathRepoError
 from .msc import is_msc_code
@@ -314,22 +314,35 @@ def _from_json(data: dict) -> CanonicalRecord:
     )
 
 
-def store_records(records: Iterable[CanonicalRecord], path) -> int:
-    """Write records to a UTF-8 JSON-lines store; returns the count written.
+def store_line(rec: CanonicalRecord, path) -> str:
+    """``rec``'s line in the store at ``path``; a record that cannot be encoded is a
+    ``StoreError`` for a failed write of that store."""
+    try:
+        return _to_line(rec)
+    except (OSError, TypeError, AttributeError) as exc:  # last two: a retyped field
+        raise StoreError(f"cannot write store {path}: {exc}") from exc
 
-    The lines go to ``<path>.tmp``, which then replaces ``path``, so a failed or killed write
-    leaves the old store whole (no fsync: not a power cut); a failed one is a ``StoreError``.
-    """
-    records = list(records)
-    tmp = f"{path}.tmp"
+
+def store_lines(lines: Iterable[str], path) -> None:
+    """Write store lines to ``path``: they go to ``<path>.tmp``, which then replaces ``path``,
+    so a failed or killed write leaves the old store whole (no fsync: not a power cut); a
+    failed one is a ``StoreError``, and so is one of ``lines`` that could not be encoded."""
+    tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(_to_line(rec) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
-    except (OSError, UnicodeError, TypeError, AttributeError) as exc:  # last two: a retyped field
-        Path(tmp).unlink(missing_ok=True)
+    except (OSError, UnicodeError) as exc:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once it has replaced the store
+
+
+def store_records(records: Iterable[CanonicalRecord], path) -> int:
+    """Write records to a UTF-8 JSON-lines store, as ``store_lines`` does; returns the count written."""
+    records = list(records)
+    store_lines((store_line(rec, path) for rec in records), path)
     return len(records)
 
 
@@ -383,14 +396,12 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _classified(path, lines: list[str], first_lineno: int) -> list[tuple]:
-    """``(record_id, msc_primary, msc_secondary, year)`` of each record on ``lines``, each
-    record dropped as soon as it is read."""
-    return [(rec.record_id, rec.msc_primary, rec.msc_secondary, rec.year)
-            for rec in _decoded(path, lines, first_lineno)]
+def _mapped(path, lines: list[str], first_lineno: int, project) -> list[tuple]:
+    """``project(rec)`` of each record on ``lines``, each record dropped as soon as it is projected."""
+    return list(map(project, _decoded(path, lines, first_lineno)))
 
 
-def _fork_classifier(path, lines: list[str], first_lineno: int) -> tuple[int, int]:
+def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[int, int]:
     """Start a child that sends ``marshal.dumps((True, rows))`` of ``lines``, or
     ``(False, message)`` of its ``StoreError``, down a pipe; returns its pid and the read end."""
     read_fd, write_fd = os.pipe()
@@ -400,7 +411,7 @@ def _fork_classifier(path, lines: list[str], first_lineno: int) -> tuple[int, in
         try:  # never return into the caller's stack, nor flush buffers inherited from it
             os.close(read_fd)
             try:
-                reply = (True, _classified(path, lines, first_lineno))
+                reply = (True, _mapped(path, lines, first_lineno, project))
             except StoreError as exc:
                 reply = (False, str(exc))
             with open(write_fd, "wb") as pipe:
@@ -423,12 +434,14 @@ def _reply(pid: int, read_fd: int) -> bytes:
     return data if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 else b""
 
 
-def load_classifications(path) -> list[Classification]:
-    """The ``Classification`` of each record in a store, deduplicated as ``load_records``
-    does, with its checks and its ``StoreError`` for the first malformed line.
+def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) -> dict:
+    """``{record_id: value}`` of the ``(record_id, value)`` that ``project`` makes of each
+    record in a store, later lines winning as in ``load_records``, with its checks and its
+    ``StoreError`` for the first malformed line. ``value`` must be one that ``marshal`` takes.
 
     The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
-    lines; this process decodes the first chunk and a forked child each of the others.
+    lines; this process projects the first chunk and a forked child each of the others,
+    so only the projections cross between processes.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -438,20 +451,20 @@ def load_classifications(path) -> list[Classification]:
     collecting = gc.isenabled()
     gc.disable()  # each record is dropped once projected, so no garbage cycle builds up
     try:
-        return _classified_in_chunks(path, lines)
+        return _mapped_in_chunks(path, lines, project)
     finally:
         if collecting:
             gc.enable()
 
 
-def _classified_in_chunks(path, lines: list[str]) -> list[Classification]:
+def _mapped_in_chunks(path, lines: list[str], project) -> dict:
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
     bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
     children = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_classifier(path, lines[start:stop], start + 1))
-        rows = _classified(path, lines[:bounds[1]], 1)
+            children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
+        rows = _mapped(path, lines[:bounds[1]], 1, project)
     finally:
         replies = [_reply(pid, read_fd) for pid, read_fd in children]
     for reply in replies:  # in line order, so the first bad line is the one reported
@@ -461,7 +474,22 @@ def _classified_in_chunks(path, lines: list[str]) -> list[Classification]:
         if not ok:
             raise StoreError(value)
         rows += value
-    return list({rid: Classification(primary, secondary, year) for rid, primary, secondary, year in rows}.values())
+    return dict(rows)
+
+
+def _classification(rec: CanonicalRecord) -> tuple[str, tuple]:
+    return rec.record_id, (rec.msc_primary, rec.msc_secondary, rec.year)
+
+
+def load_classifications(path) -> list[Classification]:
+    """The ``Classification`` of each record in a store, read as ``map_store`` reads it."""
+    return list(map(Classification._make, map_store(path, _classification).values()))
+
+
+def load_lines(path) -> dict[str, str]:
+    """Each record's ``store_line`` by record_id, read as ``map_store`` reads the store, so a
+    valid line that is not in the store's own form comes back in it."""
+    return map_store(path, lambda rec: (rec.record_id, store_line(rec, path)))
 
 
 def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:

@@ -24,6 +24,7 @@ from support import (
     classified_record,
     dc_record_xml,
     force_fork,
+    make_record,
     serve_handler,
     write_dc_fixture_dir,
 )
@@ -148,6 +149,13 @@ class TestHarvestTransform:
 
     def test_empty_endpoint_filter_is_usage_error(self, dual_endpoint_env):
         assert run(dual_endpoint_env["config"], "harvest", "--endpoint", "nonexistent") == 2
+
+    def test_unknown_endpoint_name_is_usage_error_before_any_fetch(self, dual_endpoint_env, caplog, capsys):
+        env = dual_endpoint_env
+        assert run(env["config"], "harvest", "--endpoint", "dcfix", "--endpoint", "typo") == 2
+        assert "typo" in caplog.text
+        assert "dcfix" not in capsys.readouterr().out
+        assert not (env["tmp_path"] / "spool").exists()
 
     def test_transform_without_spool_fails(self, tmp_path):
         config = write_config(tmp_path, endpoints=[])
@@ -427,6 +435,91 @@ class TestFailedStoreWrite:
         assert store.read_bytes() == before
         assert not (tmp_path / "records.jsonl.tmp").exists()
 
+    @pytest.mark.parametrize("where", ["everywhere", "in-a-child"])
+    @pytest.mark.parametrize("stage", ["transform", "enrich"])
+    def test_failed_encode_in_forked_rewrite_exits_one(self, tmp_path, monkeypatch, caplog, stage, where):
+        store, config = stage_inputs(tmp_path)
+        before = store.read_bytes()
+        parent, real = os.getpid(), mathrepo.records._to_line
+
+        def full_disk(rec):
+            if where == "everywhere" or os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(rec)
+
+        force_fork(monkeypatch, lines_per_process=1)  # lines 1, 2 and 3, the last two in children
+        monkeypatch.setattr("mathrepo.records._to_line", full_disk)
+        assert run(config, stage) == 1
+        monkeypatch.undo()
+        assert f"cannot write store {store}: [Errno {errno.ENOSPC}]" in caplog.text
+        assert store.read_bytes() == before
+        assert not (tmp_path / "records.jsonl.tmp").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# stdout and store digest of each stage on rewrite_inputs, as the in-process rewrite of full records wrote them
+REWRITE_GOLDEN = {
+    "transform": ("transform: 2 parsed, 0 failed, store has 40 records\n",
+                  "f9226cebe5f29cb0034577e21d96abea00c5bf3612c0c79593b4a0f6c53ab74e"),
+    "enrich": ("enrich: 8 matched, 20 unmatched, 12 skipped\n",
+               "f4b8e3d9a0ec629f352d205a6d5e0321ef810b0622faf95af0998846bb628901"),
+}
+
+
+def rewrite_inputs(tmp_path) -> Path:
+    """A 40-record store of source ``src`` on 43 lines: line 13 repeats record 30 and line 42
+    record 7, each with another title (the later line wins); line 20, record 18, is valid but
+    has its keys reversed and extra whitespace; line 43 is blank. The spool deletes record 21,
+    replaces record 22 and adds one record; the lookup table matches records 7 and 18 and every
+    fifth record that has a journal. Returns the settings file."""
+    recs = [
+        make_record(source="src", oai_identifier=f"oai:x:{n}", official_url=f"http://example.org/{n}",
+                    title=f"Article {n}", publication=f"J. Test {n % 3}" if n % 4 else "",
+                    volume=str(n % 5), pagerange=f"{n}-{n + 2}", date=str(1990 + n % 10))
+        for n in range(40)
+    ]
+    revised = [dataclasses.replace(recs[n], title=f"Article {n}, revised") for n in (30, 7)]
+    store = tmp_path / "records.jsonl"
+    store_records([*recs[:12], revised[0], *recs[12:40], revised[1]], store)
+    lines = store.read_text(encoding="utf-8").split("\n")
+    fields = json.loads(lines[19])
+    lines[19] = "  " + json.dumps(dict(reversed(fields.items())), separators=(" ,  ", " :\t")) + " "
+    store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "src.xml").write_text(
+        dc_envelope(deleted_record_xml("oai:x:21"), dc_record_xml("oai:x:22", title="Replaced"),
+                    dc_record_xml("oai:x:99")),
+        encoding="utf-8",
+    )
+    table = tmp_path / "mr.tsv"
+    table.write_text(
+        "".join(f"J. Test {n % 3}\t{n % 5}\t{1990 + n % 10}\t{n}\t{1000 + n}\t53A35\t53A04\n"
+                for n in range(40) if n % 4 and n % 5 == 0 or n in (7, 18)),
+        encoding="utf-8",
+    )
+    return write_config(tmp_path, endpoints=[], mr_table=str(table))
+
+
+class TestStoreRewrite:
+    @pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+    def test_transform_and_enrich_write_pinned_bytes(self, tmp_path, monkeypatch, capsys, forked):
+        config = rewrite_inputs(tmp_path)
+        if forked:
+            force_fork(monkeypatch, cpus=3, lines_per_process=10)  # lines 1-14, 15-29 and 30-44
+        for stage in ("transform", "enrich"):
+            assert run(config, stage) == 0
+            store = (tmp_path / "records.jsonl").read_bytes()
+            assert (capsys.readouterr().out, hashlib.sha256(store).hexdigest()) == REWRITE_GOLDEN[stage]
+        stored = {r.oai_identifier: r for r in load_records(tmp_path / "records.jsonl")}
+        assert "oai:x:21" not in stored and stored["oai:x:22"].title == "Replaced"
+        assert stored["oai:x:7"].title == "Article 7, revised" and stored["oai:x:30"].title == "Article 30"
+        assert stored["oai:x:18"].mr_number == 1018
+        assert store.endswith(b"\n") and store.count(b"\n") == 40
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 GOOD_ENDPOINT = {"name": "src", "base_url": "http://127.0.0.1:9/oai", "metadata_prefix": "oai_dc"}
 
@@ -594,6 +687,19 @@ class TestEnrichExport:
         (loaded,) = load_records(tmp_path / "records.jsonl")
         assert loaded.mr_number == 1710269
         assert loaded.msc_primary == "53A35"
+
+    def test_enrich_counts_a_duplicated_record_once(self, tmp_path, capsys):
+        config = write_config(tmp_path, endpoints=[])
+        rec = classified_record(1, 1998, "", [])
+        matched = dataclasses.replace(rec, publication=YOKOHAMA_JOURNAL, volume="1", pagerange="43-46")
+        store = tmp_path / "records.jsonl"
+        store_records([rec, classified_record(2, 1999, "", []), matched, matched], store)  # later lines win
+        table = tmp_path / "mr.tsv"
+        table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
+        assert run(config, "enrich", "--mr-table", str(table)) == 0
+        assert capsys.readouterr().out == "enrich: 1 matched, 0 unmatched, 1 skipped\n"
+        assert [r.mr_number for r in load_records(store)] == [1710269, None]
+        assert len(store.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_enrich_without_table_is_usage_error(self, tmp_path):
         config = self.seed_store(tmp_path)

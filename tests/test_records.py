@@ -28,6 +28,7 @@ from mathrepo.records import (
     canonical_from_junii2,
     canonicalize,
     load_classifications,
+    load_lines,
     load_records,
     make_record_id,
     split_name,
@@ -596,16 +597,20 @@ class TestLoadClassifications:
         assert forks == []
 
     @pytest.mark.parametrize(
-        "first, edits",
+        "first, edits, load",
         [
-            (15, {15: b'{"record_id": "broken"', 28: b'{"record_id": 5'}),
-            (3, {3: b'{"record_id": "broken"', 25: b'{"record_id": 5'}),
-            (28, {28: b'{"record_id": "broken"'}),
-            (22, {22: b'{"record_id": "x", "source": "s", "oai_identifier": "o", "title": "t", "official_url": 5}'}),
+            pytest.param(first, edits, load, id=name + suffix)
+            for suffix, load in (("", load_classifications), ("-rewrite", load_lines))
+            for name, first, edits in [
+                ("middle-and-last", 15, {15: b'{"record_id": "broken"', 28: b'{"record_id": 5'}),
+                ("parent-and-last", 3, {3: b'{"record_id": "broken"', 25: b'{"record_id": 5'}),
+                ("last", 28, {28: b'{"record_id": "broken"'}),
+                ("record-check", 22, {22: b'{"record_id": "x", "source": "s", "oai_identifier": "o", '
+                                          b'"title": "t", "official_url": 5}'}),
+            ]
         ],
-        ids=["middle-and-last", "parent-and-last", "last", "record-check"],
     )
-    def test_first_bad_line_is_reported_as_load_records_does(self, tmp_path, monkeypatch, first, edits):
+    def test_first_bad_line_is_reported_as_load_records_does(self, tmp_path, monkeypatch, first, edits, load):
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
         replace_lines(path, edits)
@@ -614,7 +619,7 @@ class TestLoadClassifications:
         assert str(serial.value).startswith(f"{path}:{first}: ")
         force_fork(monkeypatch)
         with pytest.raises(StoreError) as forked:
-            load_classifications(path)
+            load(path)
         assert str(forked.value) == str(serial.value)
         no_child_left()
 
@@ -623,16 +628,21 @@ class TestLoadClassifications:
         thirty_line_store(path)
         replace_lines(path, {25: b'{"title": "\xff"}'})
         force_fork(monkeypatch)
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: not UTF-8"):
-            load_classifications(path)
-        no_child_left()
+        for load in (load_classifications, load_lines):
+            with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: not UTF-8"):
+                load(path)
+            no_child_left()
 
-    @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_child_that_sends_nothing_is_an_error(self, tmp_path, monkeypatch, death):
+    @pytest.mark.parametrize(
+        "death, load",
+        [pytest.param(death, load, id=death + suffix)
+         for suffix, load in (("", load_classifications), ("-rewrite", load_lines)) for death in ("exit", "kill")],
+    )
+    def test_child_that_sends_nothing_is_an_error(self, tmp_path, monkeypatch, death, load):
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
         force_fork(monkeypatch)
-        parent, real = os.getpid(), records._classified
+        parent, real = os.getpid(), records._mapped
 
         def dying(*args):
             if os.getpid() != parent:
@@ -641,23 +651,24 @@ class TestLoadClassifications:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
-        monkeypatch.setattr(records, "_classified", dying)
+        monkeypatch.setattr(records, "_mapped", dying)
         with pytest.raises(StoreError, match="ended without a result"):
-            load_classifications(path)
+            load(path)
         no_child_left()
 
     def test_children_are_reaped_when_the_parent_chunk_raises(self, tmp_path, monkeypatch):
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
         force_fork(monkeypatch)
-        parent, real = os.getpid(), records._classified
+        parent, real = os.getpid(), records._mapped
 
         def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(records, "_classified", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            load_classifications(path)
-        no_child_left()
+        monkeypatch.setattr(records, "_mapped", interrupted)
+        for load in (load_classifications, load_lines):
+            with pytest.raises(KeyboardInterrupt):
+                load(path)
+            no_child_left()
