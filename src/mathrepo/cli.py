@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,8 @@ from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
 from .oai_client import parse_oai_envelope, serialize_envelope
-from .records import _is_http_url, canonicalize, load_classifications, load_lines, load_records, make_record_id
-from .records import map_store, store_line, store_lines
+from .records import _is_http_url, canonicalize, load_classifications, load_lines, make_record_id
+from .records import map_store, replace_file, store_line, store_lines
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -170,14 +169,10 @@ def cmd_harvest(args, config: PipelineConfig) -> int:
     failures = 0
     for endpoint in endpoints:
         transport = HttpTransport(delay=args.delay)
-        # write beside the spool file and swap it in, so a failed write keeps the old one
-        tmp_path = spool / f"{endpoint.name}.xml.tmp"
         try:
             records = list_records(endpoint, transport)
-            tmp_path.write_text(serialize_envelope(records), encoding="utf-8")
-            os.replace(tmp_path, spool / f"{endpoint.name}.xml")
+            replace_file(spool / f"{endpoint.name}.xml", [serialize_envelope(records)])
         except (MathRepoError, OSError, UnicodeError) as exc:
-            tmp_path.unlink(missing_ok=True)
             failures += 1
             log.error("endpoint %s failed: %s", endpoint.name, exc)
             print(f"{endpoint.name}: FAILED ({exc})")
@@ -239,40 +234,41 @@ def cmd_export(args, config: PipelineConfig) -> int:
     uri = args.resource_map_uri or f"http://example.org/ore/{args.name}"
     if not _is_absolute_uri(uri):
         raise UsageError(f"--resource-map-uri must be an absolute URI: {uri!r}")
-    records = sorted(load_records(config.store), key=lambda rec: rec.record_id)
-    if not records:
+    if args.format == "ore":
+        project = lambda rec: (rec.record_id, (rec.official_url, rec.title, rec.date))
+    else:
+        # resolved here, not in a module-level table, so a name patched in this module takes effect
+        render = to_eprints_xml if args.format == "eprints" else to_mets
+        project = lambda rec: (rec.record_id, render(rec))
+    rows = sorted(map_store(config.store, project).items())  # record_ids are unique
+    if not rows:
         log.warning("store is empty; nothing to export")
         print("export: 0 documents")
         return EXIT_OK
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format != "ore":
-        # resolved here, not in a module-level table, so a name patched in this module takes effect
-        render = to_eprints_xml if args.format == "eprints" else to_mets
-        for rec in records:
-            document = render(rec)
-            (out / f"{rec.record_id}.{args.format}.xml").write_text(document, encoding="utf-8")
+        for record_id, document in rows:
+            (out / f"{record_id}.{args.format}.xml").write_text(document, encoding="utf-8")
             if args.deposit_url:
                 post_package(document, args.deposit_url)
-        suffix = f", {len(records)} deposited" if args.deposit_url else ""
-        print(f"export: {len(records)} documents{suffix}")
+        suffix = f", {len(rows)} deposited" if args.deposit_url else ""
+        print(f"export: {len(rows)} documents{suffix}")
     else:
-        # timestamps derive from record dates so reruns stay byte-identical
-        dates = sorted(rec.date for rec in records if rec.date)
-
-        def stamp(value: str) -> str:
-            return f"{value}T00:00:00Z" if len(value) == 10 else "1970-01-01T00:00:00Z"
-
+        titles = {}  # each href once, titled by its first record
+        for _, (href, title, _) in rows:
+            titles.setdefault(href, title)
+        # timestamps derive from record dates, each padded to a whole day (2009 -> 2009-01-01,
+        # 2009-06 -> 2009-06-01), so reruns stay byte-identical
+        days = [f"{date}-01-01"[:10] for _, (_, _, date) in rows if date]
+        stamps = {"created": f"{min(days)}T00:00:00Z", "modified": f"{max(days)}T00:00:00Z"} if days else {}
         agg = Aggregation(
             resource_map_uri=uri,
-            aggregated=tuple(
-                AggregatedResource(href=rec.official_url, title=rec.title) for rec in records
-            ),
-            created=stamp(dates[0]) if dates else "1970-01-01T00:00:00Z",
-            modified=stamp(dates[-1]) if dates else "1970-01-01T00:00:00Z",
+            aggregated=tuple(AggregatedResource(href=href, title=title) for href, title in titles.items()),
+            **stamps,
         )
         (out / f"{args.name}.ore.atom.xml").write_text(to_ore_atom(agg), encoding="utf-8")
-        print(f"export: 1 aggregation of {len(records)} resources")
+        print(f"export: 1 aggregation of {len(titles)} resources")
     return EXIT_OK
 
 

@@ -323,20 +323,26 @@ def store_line(rec: CanonicalRecord, path) -> str:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
 
 
-def store_lines(lines: Iterable[str], path) -> None:
-    """Write store lines to ``path``: they go to ``<path>.tmp``, which then replaces ``path``,
-    so a failed or killed write leaves the old store whole (no fsync: not a power cut); a
-    failed one is a ``StoreError``, and so is one of ``lines`` that could not be encoded."""
+def replace_file(path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as UTF-8 to ``<path>.tmp``, which then replaces ``path``, so a failed
+    or killed write leaves the old file whole (no fsync: not a power cut); the tmp file is
+    gone afterwards whether or not the write failed."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once it has replaced the file
+
+
+def store_lines(lines: Iterable[str], path) -> None:
+    """Write store lines to ``path`` through ``replace_file``; a failed write is a
+    ``StoreError``, and so is one of ``lines`` that could not be encoded."""
+    try:
+        replace_file(path, (line + "\n" for line in lines))
     except (OSError, UnicodeError) as exc:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)  # gone already once it has replaced the store
 
 
 def store_records(records: Iterable[CanonicalRecord], path) -> int:
@@ -360,8 +366,14 @@ def _decoded(path, lines: Iterable[str], first_lineno: int = 1) -> Iterator[Cano
         yield rec
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> StoreError:
-    return StoreError(f"{path}: not UTF-8: {exc}")
+def _read_lines(path) -> list[str]:
+    """The store's lines, without their ends, as file iteration (``newline=None``) splits
+    them; bytes that are not UTF-8 are a ``StoreError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def load_records(path) -> list[CanonicalRecord]:
@@ -370,12 +382,7 @@ def load_records(path) -> list[CanonicalRecord]:
     A malformed line is a ``StoreError`` naming the file and line number; bytes
     that are not UTF-8 are one naming the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            by_id = {rec.record_id: rec for rec in _decoded(path, fh)}
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    return list(by_id.values())
+    return list({rec.record_id: rec for rec in _decoded(path, _read_lines(path))}.values())
 
 
 class Classification(NamedTuple):
@@ -443,30 +450,20 @@ def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) ->
     lines; this process projects the first chunk and a forked child each of the others,
     so only the projections cross between processes.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")  # newline=None: the lines that file iteration gives
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    collecting = gc.isenabled()
-    gc.disable()  # each record is dropped once projected, so no garbage cycle builds up
-    try:
-        return _mapped_in_chunks(path, lines, project)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _mapped_in_chunks(path, lines: list[str], project) -> dict:
+    lines = _read_lines(path)
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
     bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
     children = []
+    collecting = gc.isenabled()
+    gc.disable()  # each record is dropped once projected, so no garbage cycle builds up
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
             children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
         rows = _mapped(path, lines[:bounds[1]], 1, project)
     finally:
         replies = [_reply(pid, read_fd) for pid, read_fd in children]
+        if collecting:
+            gc.enable()
     for reply in replies:  # in line order, so the first bad line is the one reported
         if not reply:
             raise StoreError(f"{path}: a decoder process ended without a result")

@@ -390,8 +390,9 @@ class TestMalformedStore:
             (("transform",), False), (("enrich",), False), (("export", "--format", "eprints"), False),
             (("stats",), False), (("hits", "--from", "1998", "--to", "1999"), False),
             (("stats",), True), (("hits", "--from", "1998", "--to", "1999"), True),
+            (("export", "--format", "eprints"), True),
         ],
-        ids=["transform", "enrich", "export", "stats", "hits", "stats-forked", "hits-forked"],
+        ids=["transform", "enrich", "export", "stats", "hits", "stats-forked", "hits-forked", "export-forked"],
     )
     def test_malformed_line_stops_the_stage(self, tmp_path, caplog, monkeypatch, argv, forked):
         store, config = stage_inputs(tmp_path)
@@ -720,6 +721,44 @@ class TestEnrichExport:
         doc = (tmp_path / "out" / "sample.ore.atom.xml").read_text(encoding="utf-8")
         assert doc.count('rel="http://www.openarchives.org/ore/terms/aggregates"') == 2
 
+    @pytest.mark.parametrize(
+        "dates, published, updated",
+        [
+            (["2009-06"], "2009-06-01", "2009-06-01"),
+            (["2009-06-15", "2008", ""], "2008-01-01", "2009-06-15"),
+            (["", ""], "1970-01-01", "1970-01-01"),  # no record date: the Aggregation defaults
+        ],
+        ids=["month", "year-and-day", "undated"],
+    )
+    def test_export_ore_stamps_pad_record_dates_to_a_day(self, tmp_path, dates, published, updated):
+        config = write_config(tmp_path, endpoints=[])
+        store_records(
+            [make_record(oai_identifier=f"oai:x:{n}", official_url=f"http://example.org/{n}", date=date)
+             for n, date in enumerate(dates)],
+            tmp_path / "records.jsonl",
+        )
+        assert run(config, "export", "--format", "ore", "--name", "sample") == 0
+        doc = (tmp_path / "out" / "sample.ore.atom.xml").read_text(encoding="utf-8")
+        assert f"<atom:published>{published}T00:00:00Z</atom:published>" in doc
+        assert f"<atom:updated>{updated}T00:00:00Z</atom:updated>" in doc
+
+    def test_export_ore_aggregates_a_shared_href_once(self, tmp_path, capsys):
+        config = write_config(tmp_path, endpoints=[])
+        shared = "http://journal.example/art/1"
+        records = sorted(
+            [make_record(source="euclid", title="From euclid", official_url=shared),
+             make_record(source="ocha", title="From ocha", official_url=shared),
+             make_record(source="ocha", oai_identifier="oai:x:2", official_url="http://journal.example/art/2")],
+            key=lambda rec: rec.record_id,
+        )
+        store_records(records, tmp_path / "records.jsonl")
+        assert run(config, "export", "--format", "ore", "--name", "sample") == 0
+        assert capsys.readouterr().out == "export: 1 aggregation of 2 resources\n"
+        doc = (tmp_path / "out" / "sample.ore.atom.xml").read_text(encoding="utf-8")
+        assert doc.count(f'href="{shared}"') == 1
+        first = next(rec.title for rec in records if rec.official_url == shared)
+        assert f'href="{shared}" title="{first}"' in doc
+
     def test_export_mets_with_deposit_posts_packages(self, tmp_path):
         bodies = []
 
@@ -900,8 +939,11 @@ class TestStatsHits:
             config = write_config(tmp_path, endpoints=[], output_dir=str(tmp_path / name))
             assert run(config, "stats", "--totals", str(totals)) == 0
             assert run(config, "hits", "--from", "1990", "--to", "1995", "--window", "3") == 0
+            for fmt in ("eprints", "mets", "ore"):
+                assert run(config, "export", "--format", fmt) == 0
             outputs[name] = {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())}
-        assert {"field_share.csv", "hits_series.csv"} <= outputs["serial"].keys()
+        assert {"field_share.csv", "hits_series.csv", "records.ore.atom.xml"} <= outputs["serial"].keys()
+        assert len([name for name in outputs["serial"] if name.endswith((".eprints.xml", ".mets.xml"))]) == 120
         assert outputs["forked"] == outputs["serial"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
