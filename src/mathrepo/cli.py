@@ -38,6 +38,7 @@ EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 
 DEFAULT_CONFIG = "mathrepo.json"
+_MAX_DELAY_S = 86400.0  # a day; time.sleep overflows long before inf, near 9.2e9 s
 
 
 class UsageError(MathRepoError):
@@ -155,6 +156,8 @@ def _write_store(lines: dict[str, str], config: PipelineConfig) -> int:
 
 
 def cmd_harvest(args, config: PipelineConfig) -> int:
+    if not 0 <= args.delay <= _MAX_DELAY_S:  # nan too
+        raise UsageError(f"--delay must be from 0 to {_MAX_DELAY_S:g} seconds, not {args.delay}")
     endpoints = config.endpoints
     if args.endpoint:
         known = {e.name for e in endpoints}
@@ -327,6 +330,10 @@ def cmd_hits(args, config: PipelineConfig) -> int:
 def cmd_serve_fixtures(args, config: PipelineConfig) -> int:
     if args.page_size < 1:
         raise UsageError(f"--page-size must be at least 1, not {args.page_size}")
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port must be from 0 to 65535, not {args.port}")
+    if not Path(args.dir).is_dir():
+        raise UsageError(f"--dir is not a directory: {args.dir}")
     server = serve_fixtures(args.dir, page_size=args.page_size, port=args.port)
     print(f"serving {len(server.records)} fixture records at {server.base_url}")
     try:

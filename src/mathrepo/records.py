@@ -7,9 +7,9 @@ import csv
 import gc
 import hashlib
 import json
-import marshal
 import operator
 import os
+import pickle
 import re
 import urllib.parse
 from dataclasses import dataclass, field, fields
@@ -352,20 +352,6 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
     return len(records)
 
 
-def _decoded(path, lines: Iterable[str], first_lineno: int = 1) -> Iterator[CanonicalRecord]:
-    """Decode store lines, the first of them numbered ``first_lineno``, skipping blank ones.
-    A malformed line is a ``StoreError`` naming the file and line number."""
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = _from_json(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
-            raise StoreError(f"{path}:{lineno}: {exc}") from exc
-        yield rec
-
-
 def _read_lines(path) -> list[str]:
     """The store's lines, without their ends, as file iteration (``newline=None``) splits
     them; bytes that are not UTF-8 are a ``StoreError`` naming the file."""
@@ -374,15 +360,6 @@ def _read_lines(path) -> list[str]:
             return fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise StoreError(f"{path}: not UTF-8: {exc}") from exc
-
-
-def load_records(path) -> list[CanonicalRecord]:
-    """Load a record store, deduplicating by record_id (later lines win).
-
-    A malformed line is a ``StoreError`` naming the file and line number; bytes
-    that are not UTF-8 are one naming the file.
-    """
-    return list({rec.record_id: rec for rec in _decoded(path, _read_lines(path))}.values())
 
 
 class Classification(NamedTuple):
@@ -403,14 +380,26 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _mapped(path, lines: list[str], first_lineno: int, project) -> list[tuple]:
-    """``project(rec)`` of each record on ``lines``, each record dropped as soon as it is projected."""
-    return list(map(project, _decoded(path, lines, first_lineno)))
+def _mapped(path, lines: list[str], first_lineno: int, project) -> list:
+    """``project(rec)`` of each record on ``lines``, the first of them numbered ``first_lineno``,
+    skipping blank lines; each record is dropped as soon as it is projected. A malformed line
+    is a ``StoreError`` naming the file and line number."""
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = _from_json(json.loads(line))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
+            raise StoreError(f"{path}:{lineno}: {exc}") from exc
+        rows.append(project(rec))
+    return rows
 
 
 def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[int, int]:
-    """Start a child that sends ``marshal.dumps((True, rows))`` of ``lines``, or
-    ``(False, message)`` of its ``StoreError``, down a pipe; returns its pid and the read end."""
+    """Start a child that sends down a pipe the pickled rows of ``lines``, or the exception
+    that projecting them raised; returns its pid and the read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -418,11 +407,12 @@ def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[in
         try:  # never return into the caller's stack, nor flush buffers inherited from it
             os.close(read_fd)
             try:
-                reply = (True, _mapped(path, lines, first_lineno, project))
-            except StoreError as exc:
-                reply = (False, str(exc))
+                reply = _mapped(path, lines, first_lineno, project)
+            except Exception as exc:
+                reply = exc
+            data = pickle.dumps(reply)  # an unpicklable reply ends the child without one
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(reply))
+                pipe.write(data)
             code = 0
         finally:
             os._exit(code)
@@ -443,12 +433,14 @@ def _reply(pid: int, read_fd: int) -> bytes:
 
 def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) -> dict:
     """``{record_id: value}`` of the ``(record_id, value)`` that ``project`` makes of each
-    record in a store, later lines winning as in ``load_records``, with its checks and its
-    ``StoreError`` for the first malformed line. ``value`` must be one that ``marshal`` takes.
+    record in a store, later lines winning. A malformed line is a ``StoreError`` naming the
+    file and line number; bytes that are not UTF-8 are one naming the file.
 
     The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
     lines; this process projects the first chunk and a forked child each of the others,
-    so only the projections cross between processes.
+    so only the projections, which must pickle, cross between processes. A chunk fails
+    alike in either process: the first exception in line order is raised once every
+    child is reaped.
     """
     lines = _read_lines(path)
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
@@ -464,14 +456,20 @@ def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) ->
         replies = [_reply(pid, read_fd) for pid, read_fd in children]
         if collecting:
             gc.enable()
-    for reply in replies:  # in line order, so the first bad line is the one reported
-        if not reply:
-            raise StoreError(f"{path}: a decoder process ended without a result")
-        ok, value = marshal.loads(reply)
-        if not ok:
-            raise StoreError(value)
+    for reply in replies:  # in line order, so the first failure is the one raised
+        try:
+            value = pickle.loads(reply)
+        except Exception:  # b"", or a value that cannot be rebuilt: nothing readable came back
+            raise StoreError(f"{path}: a decoder process ended without a result") from None
+        if isinstance(value, Exception):
+            raise value
         rows += value
     return dict(rows)
+
+
+def load_records(path) -> list[CanonicalRecord]:
+    """Load a record store, deduplicating by record_id (later lines win), as ``map_store`` reads it."""
+    return list(map_store(path, lambda rec: (rec.record_id, rec)).values())
 
 
 def _classification(rec: CanonicalRecord) -> tuple[str, tuple]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 from http.server import HTTPServer
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from mathrepo.analytics import MscGraph
@@ -130,6 +132,12 @@ def force_fork(monkeypatch, cpus: int = 3, lines_per_process: int = 10) -> None:
     a small store into up to ``cpus`` chunks, one per process, on any host."""
     monkeypatch.setattr("mathrepo.records._LINES_PER_PROCESS", lines_per_process)
     monkeypatch.setattr("mathrepo.records._cpu_count", lambda: cpus)
+
+
+def no_child_left() -> None:
+    """Assert that this process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from support import (
     dc_record_xml,
     force_fork,
     make_record,
+    no_child_left,
     serve_handler,
     write_dc_fixture_dir,
 )
@@ -405,8 +406,7 @@ class TestMalformedStore:
         assert f"{store}:3" in caplog.text
         assert store.read_bytes() == before
         assert not (tmp_path / "out").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     def test_value_of_wrong_type_stops_enrich(self, tmp_path, caplog):
         store, config = stage_inputs(tmp_path)
@@ -455,8 +455,7 @@ class TestFailedStoreWrite:
         assert f"cannot write store {store}: [Errno {errno.ENOSPC}]" in caplog.text
         assert store.read_bytes() == before
         assert not (tmp_path / "records.jsonl.tmp").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
 
 # stdout and store digest of each stage on rewrite_inputs, as the in-process rewrite of full records wrote them
@@ -518,8 +517,7 @@ class TestStoreRewrite:
         assert stored["oai:x:7"].title == "Article 7, revised" and stored["oai:x:30"].title == "Article 30"
         assert stored["oai:x:18"].mr_number == 1018
         assert store.endswith(b"\n") and store.count(b"\n") == 40
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
 
 GOOD_ENDPOINT = {"name": "src", "base_url": "http://127.0.0.1:9/oai", "metadata_prefix": "oai_dc"}
@@ -579,10 +577,14 @@ class TestSettingsAndInputs:
             (["hits", "--from", "1990", "--to", "1999", "--tol", "nan"], "tol must be positive and finite"),
             (["hits", "--from", "1990", "--to", "1999", "--max-iter", "0"], "max_iter must be >= 1"),
             (["export", "--format", "ore", "--resource-map-uri", "not-a-uri"], "--resource-map-uri"),
+            (["harvest", "--delay", "inf"], "--delay must be from 0 to 86400 seconds, not inf"),
+            (["harvest", "--delay", "nan"], "--delay must be from 0 to 86400 seconds, not nan"),
+            (["harvest", "--delay", "-1"], "--delay must be from 0 to 86400 seconds, not -1.0"),
+            (["harvest", "--delay", "1e10"], "--delay must be from 0 to 86400 seconds, not 10000000000.0"),
         ],
         ids=[
             "window_zero", "from_after_to", "tol_zero", "tol_inf", "tol_nan", "max_iter_zero",
-            "resource_map_uri_relative",
+            "resource_map_uri_relative", "delay_inf", "delay_nan", "delay_negative", "delay_past_sleep",
         ],
     )
     def test_bad_flag_value_exits_two_before_writing(self, tmp_path, caplog, argv, message):
@@ -945,8 +947,7 @@ class TestStatsHits:
         assert {"field_share.csv", "hits_series.csv", "records.ore.atom.xml"} <= outputs["serial"].keys()
         assert len([name for name in outputs["serial"] if name.endswith((".eprints.xml", ".mets.xml"))]) == 120
         assert outputs["forked"] == outputs["serial"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])
@@ -965,6 +966,32 @@ class TestServeFixturesCommand:
         assert main(["--config", str(write_config(tmp_path, endpoints=[])),
                      "serve-fixtures", "--dir", str(tmp_path), "--page-size", "0"]) == 2
         assert "--page-size must be at least 1, not 0" in caplog.text
+
+    @pytest.mark.parametrize(
+        "port, directory, message",
+        [
+            ("99999", ".", "--port must be from 0 to 65535, not 99999"),
+            ("-1", ".", "--port must be from 0 to 65535, not -1"),
+            ("0", "missing", "--dir is not a directory: {dir}"),
+        ],
+        ids=["port_too_large", "port_negative", "dir_missing"],
+    )
+    def test_bad_port_or_dir_is_usage_error(self, tmp_path, caplog, capsys, port, directory, message):
+        config = write_config(tmp_path, endpoints=[])
+        argv = ["serve-fixtures", "--dir", str(tmp_path / directory), "--port", port]
+        assert main(["--config", str(config), *argv]) == 2
+        assert message.format(dir=tmp_path / directory) in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_empty_directory_serves_no_records(self, tmp_path, monkeypatch, capsys):
+        def interrupted(server, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("mathrepo.fixture_server.FixtureServer.wait", interrupted)
+        (tmp_path / "empty").mkdir()
+        config = write_config(tmp_path, endpoints=[])
+        assert main(["--config", str(config), "serve-fixtures", "--dir", str(tmp_path / "empty")]) == 0
+        assert capsys.readouterr().out.startswith("serving 0 fixture records at http://127.0.0.1:")
 
     def test_parser_knows_all_subcommands(self):
         from mathrepo.cli import build_parser

@@ -36,7 +36,7 @@ from mathrepo.records import (
 )
 
 from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, classified_record, force_fork
-from support import make_record, msc_codes
+from support import make_record, msc_codes, no_child_left
 
 
 def euclid_canonical():
@@ -535,11 +535,6 @@ class TestStore:
         ]
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def counted_forks(monkeypatch) -> list:
     forks = []
     real_fork = os.fork
@@ -672,3 +667,73 @@ class TestLoadClassifications:
             with pytest.raises(KeyboardInterrupt):
                 load(path)
             no_child_left()
+
+
+class RebuildError(Exception):
+    """An exception that pickles but cannot be rebuilt from its pickle."""
+
+    def __init__(self, line, reason):
+        super().__init__(f"{line}: {reason}")
+
+
+class TestMapStore:
+    def test_projection_error_in_a_child_is_raised_from_map_store(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        force_fork(monkeypatch)
+        parent = os.getpid()
+
+        def render(rec):
+            if os.getpid() != parent:  # both children raise; lines 11-20 come first
+                raise ValueError(f"cannot render {rec.oai_identifier}")
+            return rec.record_id, rec.title
+
+        with pytest.raises(ValueError, match="^cannot render oai:example.org:cls/10$"):
+            records.map_store(path, render)
+        no_child_left()
+
+    def test_named_tuple_values_come_back_from_children(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        project = lambda rec: (rec.record_id, Classification(rec.msc_primary, rec.msc_secondary, rec.year))
+        expected = list(records.map_store(path, project).items())
+        force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        forked = list(records.map_store(path, project).items())
+        assert len(forks) == 2
+        assert forked == expected
+        assert {type(value) for _, value in forked} == {Classification}
+        no_child_left()
+
+    def test_load_records_forks_as_map_store_does(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        written = thirty_line_store(path)
+        expected = load_records(path)
+        assert len(expected) == 28
+        assert expected[5] == written[14] and expected[16] == written[24]  # later lines win, in first place
+        force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        assert load_records(path) == expected
+        assert len(forks) == 2
+        no_child_left()
+
+    @pytest.mark.parametrize("reply", ["unpicklable-value", "unpicklable-error", "error-not-rebuilt"])
+    def test_child_reply_that_cannot_be_read_is_an_error(self, tmp_path, monkeypatch, reply):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        force_fork(monkeypatch)
+        parent = os.getpid()
+
+        def project(rec):
+            if os.getpid() != parent:
+                if reply == "unpicklable-value":
+                    return rec.record_id, lambda: None
+                if reply == "unpicklable-error":
+                    raise ValueError(lambda: None)
+                raise RebuildError(rec.oai_identifier, "not rendered")
+            return rec.record_id, rec.title
+
+        with pytest.raises(StoreError) as failed:
+            records.map_store(path, project)
+        assert str(failed.value) == f"{path}: a decoder process ended without a result"
+        no_child_left()
