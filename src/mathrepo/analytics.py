@@ -79,8 +79,8 @@ def field_share_table(
 
 
 def load_totals(path) -> dict[str, int]:
-    """Load the world-totals file: tab-separated msc2, world_count. A field given
-    twice is an error naming both lines."""
+    """Load the world-totals file: tab-separated msc2, world_count. A count below 1 is an
+    error naming its line, and a field given twice one naming both lines."""
     totals: dict[str, int] = {}
     first_line: dict[str, int] = {}
     for lineno, (msc2, count) in read_table(path, 2, AnalyticsError):
@@ -92,6 +92,8 @@ def load_totals(path) -> dict[str, int]:
             totals[msc2] = int(count)
         except ValueError as exc:
             raise AnalyticsError(f"{path}:{lineno}: bad count {count!r}") from exc
+        if totals[msc2] < 1:
+            raise AnalyticsError(f"{path}:{lineno}: world total must be positive, got {count!r}")
         first_line[msc2] = lineno
     return totals
 
@@ -292,6 +294,8 @@ def sliding_window_series(
     """
     if start_year > end_year:
         raise AnalyticsError(f"start_year {start_year} > end_year {end_year}")
+    if start_year < 0 or end_year > 9999:  # record dates are four-digit years
+        raise AnalyticsError(f"years must be from 0 to 9999, not {start_year} to {end_year}")
     if window < 1:
         raise AnalyticsError("window must be >= 1")
     series = WindowSeries(start_year=start_year, end_year=end_year, window=window)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,10 +18,11 @@ from . import analytics
 from .enrich import EnrichReport, enrich_record, load_mr_table
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
+from .msc import is_msc_code
 from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
 from .oai_client import parse_oai_envelope, serialize_envelope
-from .records import _is_http_url, canonicalize, load_classifications, load_lines, make_record_id
-from .records import map_store, replace_file, store_line, store_lines
+from .records import _is_http_url, canonicalize, load_classifications, make_record_id, map_store
+from .records import replace_file, store_line, store_lines
 from .serialize import (
     AggregatedResource,
     Aggregation,
@@ -135,6 +137,10 @@ def _load_pipeline_config(args) -> PipelineConfig:
                 if not isinstance(value, kind):
                     raise TypeError(f"{key} must be a {kind.__name__}, not {value!r}")
             config.endpoints = [EndpointConfig(**entry) for entry in config.endpoints]
+            names = [e.name for e in config.endpoints]
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:  # a name is the spool file and each harvested record's source
+                raise ValueError(f"endpoint name {repeated[0]!r} is given to more than one endpoint")
         except OSError as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         except (TypeError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
@@ -190,8 +196,9 @@ def cmd_transform(args, config: PipelineConfig) -> int:
     if not envelopes:
         log.error("spool directory %s has no envelopes; run harvest first", spool)
         return EXIT_PARTIAL
-    # the one stage that may run without a store: its first run creates it
-    merged = load_lines(config.store) if Path(config.store).exists() else {}
+    merged = {}  # the one stage that may run without a store: its first run creates it
+    if Path(config.store).exists():  # a valid line not in the store's own form is written back in it
+        merged = map_store(config.store, lambda rec: store_line(rec, config.store))
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
@@ -219,7 +226,7 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
 
     def enriched_line(rec):
         rec, outcome = enrich_record(rec, table)
-        return rec.record_id, (store_line(rec, config.store), outcome)
+        return store_line(rec, config.store), outcome
 
     rows = map_store(config.store, enriched_line)
     _write_store({record_id: line for record_id, (line, _) in rows.items()}, config)
@@ -238,11 +245,10 @@ def cmd_export(args, config: PipelineConfig) -> int:
     if not _is_absolute_uri(uri):
         raise UsageError(f"--resource-map-uri must be an absolute URI: {uri!r}")
     if args.format == "ore":
-        project = lambda rec: (rec.record_id, (rec.official_url, rec.title, rec.date))
+        project = operator.attrgetter("official_url", "title", "date")
     else:
         # resolved here, not in a module-level table, so a name patched in this module takes effect
-        render = to_eprints_xml if args.format == "eprints" else to_mets
-        project = lambda rec: (rec.record_id, render(rec))
+        project = to_eprints_xml if args.format == "eprints" else to_mets
     rows = sorted(map_store(config.store, project).items())  # record_ids are unique
     if not rows:
         log.warning("store is empty; nothing to export")
@@ -295,6 +301,10 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 
 def cmd_hits(args, config: PipelineConfig) -> int:
+    nodes = [n.strip() for n in args.nodes.split(",") if n.strip()] if args.nodes else None
+    bad = [node for node in nodes or () if len(node) != 2 or not is_msc_code(node)]
+    if bad:  # checked before the store is read: each node names a chart file
+        raise UsageError(f"--nodes must list two-digit MSC fields, not {', '.join(map(repr, bad))}")
     records = load_classifications(config.store)
     if not records:
         log.warning("store is empty; series will carry zero scores")
@@ -318,7 +328,6 @@ def cmd_hits(args, config: PipelineConfig) -> int:
                 "(%d iterations, residual %.3g)",
                 entry.year, result.converged, result.degenerate, result.iterations, result.residual,
             )
-    nodes = [n.strip() for n in args.nodes.split(",") if n.strip()] if args.nodes else None
     if not any(entry.nodes for entry in series.entries) and not nodes:
         print("hits: no classified records in the requested windows")
         return EXIT_OK

@@ -363,8 +363,8 @@ def _read_lines(path) -> list[str]:
 
 
 class Classification(NamedTuple):
-    """The three values of a record that ``stats`` and ``hits`` read; a
-    ``CanonicalRecord`` has the same attributes and serves in its place."""
+    """The values of a record that ``stats`` and ``hits`` read, each read off the record by
+    its field name; a ``CanonicalRecord`` has the same attributes and serves in its place."""
 
     msc_primary: str
     msc_secondary: list[str]
@@ -381,9 +381,9 @@ def _cpu_count() -> int:
 
 
 def _mapped(path, lines: list[str], first_lineno: int, project) -> list:
-    """``project(rec)`` of each record on ``lines``, the first of them numbered ``first_lineno``,
-    skipping blank lines; each record is dropped as soon as it is projected. A malformed line
-    is a ``StoreError`` naming the file and line number."""
+    """``(record_id, project(rec))`` of each record on ``lines``, the first of them numbered
+    ``first_lineno``, skipping blank lines. A malformed line is a ``StoreError`` naming the file
+    and line number."""
     rows = []
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.strip()
@@ -393,7 +393,7 @@ def _mapped(path, lines: list[str], first_lineno: int, project) -> list:
             rec = _from_json(json.loads(line))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecordError) as exc:
             raise StoreError(f"{path}:{lineno}: {exc}") from exc
-        rows.append(project(rec))
+        rows.append((rec.record_id, project(rec)))
     return rows
 
 
@@ -431,23 +431,22 @@ def _reply(pid: int, read_fd: int) -> bytes:
     return data if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 else b""
 
 
-def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) -> dict:
-    """``{record_id: value}`` of the ``(record_id, value)`` that ``project`` makes of each
-    record in a store, later lines winning. A malformed line is a ``StoreError`` naming the
-    file and line number; bytes that are not UTF-8 are one naming the file.
+def map_store(path, project: Callable[[CanonicalRecord], object]) -> dict:
+    """``{record_id: project(rec)}`` of each record in a store, later lines winning. A malformed
+    line is a ``StoreError`` naming the file and line number; bytes not UTF-8, one naming the file.
 
     The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
     lines; this process projects the first chunk and a forked child each of the others,
-    so only the projections, which must pickle, cross between processes. A chunk fails
-    alike in either process: the first exception in line order is raised once every
-    child is reaped.
+    so only ``(record_id, value)`` rows, whose values must pickle, cross between processes.
+    A chunk fails alike in either process: the first exception in line order is raised
+    once every child is reaped.
     """
     lines = _read_lines(path)
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
     bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
     children = []
     collecting = gc.isenabled()
-    gc.disable()  # each record is dropped once projected, so no garbage cycle builds up
+    gc.disable()  # a decode builds many containers and no reference cycle, so a collection frees nothing
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
             children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
@@ -469,22 +468,13 @@ def map_store(path, project: Callable[[CanonicalRecord], tuple[str, object]]) ->
 
 def load_records(path) -> list[CanonicalRecord]:
     """Load a record store, deduplicating by record_id (later lines win), as ``map_store`` reads it."""
-    return list(map_store(path, lambda rec: (rec.record_id, rec)).values())
-
-
-def _classification(rec: CanonicalRecord) -> tuple[str, tuple]:
-    return rec.record_id, (rec.msc_primary, rec.msc_secondary, rec.year)
+    return list(map_store(path, lambda rec: rec).values())
 
 
 def load_classifications(path) -> list[Classification]:
     """The ``Classification`` of each record in a store, read as ``map_store`` reads it."""
-    return list(map(Classification._make, map_store(path, _classification).values()))
-
-
-def load_lines(path) -> dict[str, str]:
-    """Each record's ``store_line`` by record_id, read as ``map_store`` reads the store, so a
-    valid line that is not in the store's own form comes back in it."""
-    return map_store(path, lambda rec: (rec.record_id, store_line(rec, path)))
+    rows = map_store(path, operator.attrgetter(*Classification._fields))  # plain tuples pickle faster
+    return list(map(Classification._make, rows.values()))
 
 
 def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:

@@ -98,8 +98,10 @@ class TestShareTable:
             ("57\n", ":1: expected 2 columns"),
             ("# field\tcount\n57\tmany\n", ":2: bad count 'many'"),
             ("53\t100\n57\t7\n53\t5\n", ": duplicate field '53' on lines 1 and 3"),
+            ("57\t18103\n53\t0\n", ":2: world total must be positive, got '0'"),
+            ("# field\tcount\n53\t-5\n", ":2: world total must be positive, got '-5'"),
         ],
-        ids=["three_columns", "one_column", "bad_count", "duplicate_field"],
+        ids=["three_columns", "one_column", "bad_count", "duplicate_field", "zero_count", "negative_count"],
     )
     def test_load_totals_names_file_and_line_of_a_bad_row(self, tmp_path, text, error):
         path = tmp_path / "totals.tsv"

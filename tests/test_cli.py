@@ -548,6 +548,7 @@ class TestSettingsAndInputs:
             {"mr_table": "a\0b"},
             {"totals": "a\0b"},
             {"output_dir": "a\0b"},
+            {"endpoints": [GOOD_ENDPOINT, {**GOOD_ENDPOINT, "base_url": "http://127.0.0.1:9/other"}]},
         ],
         ids=[
             "mr_table_int", "store_int", "spool_dir_null", "unknown_key", "endpoints_int",
@@ -555,7 +556,7 @@ class TestSettingsAndInputs:
             "endpoint_set_spec_int", "endpoint_base_url_missing", "endpoint_from_date_garbage",
             "endpoint_from_date_month_13", "endpoint_until_date_without_z", "endpoint_from_date_unpadded",
             "endpoint_until_date_time_unpadded", "endpoint_from_after_until", "store_nul", "spool_dir_nul",
-            "mr_table_nul", "totals_nul", "output_dir_nul",
+            "mr_table_nul", "totals_nul", "output_dir_nul", "endpoint_name_duplicate",
         ],
     )
     def test_bad_setting_exits_two_before_writing(self, tmp_path, caplog, settings):
@@ -581,10 +582,16 @@ class TestSettingsAndInputs:
             (["harvest", "--delay", "nan"], "--delay must be from 0 to 86400 seconds, not nan"),
             (["harvest", "--delay", "-1"], "--delay must be from 0 to 86400 seconds, not -1.0"),
             (["harvest", "--delay", "1e10"], "--delay must be from 0 to 86400 seconds, not 10000000000.0"),
+            (["hits", "--from", "1990", "--to", "1999", "--nodes", "a/b,53"], "two-digit MSC fields, not 'a/b'"),
+            (["hits", "--from", "1990", "--to", "1999", "--nodes", "53A35"], "two-digit MSC fields, not '53A35'"),
+            (["hits", "--from", "1990", "--to", "1999", "--nodes", "53,\uff15\uff13"], "not '\uff15\uff13'"),
+            (["hits", "--from", "1990", "--to", "10000"], "years must be from 0 to 9999, not 1990 to 10000"),
+            (["hits", "--from", "-1", "--to", "1999"], "years must be from 0 to 9999, not -1 to 1999"),
         ],
         ids=[
             "window_zero", "from_after_to", "tol_zero", "tol_inf", "tol_nan", "max_iter_zero",
             "resource_map_uri_relative", "delay_inf", "delay_nan", "delay_negative", "delay_past_sleep",
+            "nodes_path", "nodes_full_code", "nodes_not_ascii", "to_past_9999", "from_before_0",
         ],
     )
     def test_bad_flag_value_exits_two_before_writing(self, tmp_path, caplog, argv, message):

@@ -28,10 +28,11 @@ from mathrepo.records import (
     canonical_from_junii2,
     canonicalize,
     load_classifications,
-    load_lines,
     load_records,
     make_record_id,
+    map_store,
     split_name,
+    store_line,
     store_records,
 )
 
@@ -558,6 +559,11 @@ def thirty_line_store(path):
     return recs
 
 
+def rewrite_lines(path) -> dict[str, str]:
+    """Each record's store line by record_id, read as ``transform`` reads the store."""
+    return map_store(path, lambda rec: store_line(rec, path))
+
+
 def replace_lines(path, edits: dict[int, bytes]):
     lines = path.read_bytes().split(b"\n")
     for lineno, text in edits.items():
@@ -595,7 +601,7 @@ class TestLoadClassifications:
         "first, edits, load",
         [
             pytest.param(first, edits, load, id=name + suffix)
-            for suffix, load in (("", load_classifications), ("-rewrite", load_lines))
+            for suffix, load in (("", load_classifications), ("-rewrite", rewrite_lines))
             for name, first, edits in [
                 ("middle-and-last", 15, {15: b'{"record_id": "broken"', 28: b'{"record_id": 5'}),
                 ("parent-and-last", 3, {3: b'{"record_id": "broken"', 25: b'{"record_id": 5'}),
@@ -623,7 +629,7 @@ class TestLoadClassifications:
         thirty_line_store(path)
         replace_lines(path, {25: b'{"title": "\xff"}'})
         force_fork(monkeypatch)
-        for load in (load_classifications, load_lines):
+        for load in (load_classifications, rewrite_lines):
             with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: not UTF-8"):
                 load(path)
             no_child_left()
@@ -631,7 +637,7 @@ class TestLoadClassifications:
     @pytest.mark.parametrize(
         "death, load",
         [pytest.param(death, load, id=death + suffix)
-         for suffix, load in (("", load_classifications), ("-rewrite", load_lines)) for death in ("exit", "kill")],
+         for suffix, load in (("", load_classifications), ("-rewrite", rewrite_lines)) for death in ("exit", "kill")],
     )
     def test_child_that_sends_nothing_is_an_error(self, tmp_path, monkeypatch, death, load):
         path = tmp_path / "store.jsonl"
@@ -663,7 +669,7 @@ class TestLoadClassifications:
             return real(*args)
 
         monkeypatch.setattr(records, "_mapped", interrupted)
-        for load in (load_classifications, load_lines):
+        for load in (load_classifications, rewrite_lines):
             with pytest.raises(KeyboardInterrupt):
                 load(path)
             no_child_left()
@@ -686,7 +692,7 @@ class TestMapStore:
         def render(rec):
             if os.getpid() != parent:  # both children raise; lines 11-20 come first
                 raise ValueError(f"cannot render {rec.oai_identifier}")
-            return rec.record_id, rec.title
+            return rec.title
 
         with pytest.raises(ValueError, match="^cannot render oai:example.org:cls/10$"):
             records.map_store(path, render)
@@ -695,7 +701,7 @@ class TestMapStore:
     def test_named_tuple_values_come_back_from_children(self, tmp_path, monkeypatch):
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
-        project = lambda rec: (rec.record_id, Classification(rec.msc_primary, rec.msc_secondary, rec.year))
+        project = lambda rec: Classification(rec.msc_primary, rec.msc_secondary, rec.year)
         expected = list(records.map_store(path, project).items())
         force_fork(monkeypatch)
         forks = counted_forks(monkeypatch)
@@ -703,6 +709,18 @@ class TestMapStore:
         assert len(forks) == 2
         assert forked == expected
         assert {type(value) for _, value in forked} == {Classification}
+        no_child_left()
+
+    def test_bare_values_come_back_keyed_by_record_id_from_every_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        written = thirty_line_store(path)
+        force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        dates = map_store(path, lambda rec: rec.date or None)  # a str, or None for line 25
+        assert len(forks) == 2
+        assert dates == {rec.record_id: rec.date or None for rec in written}
+        assert [dates[written[n].record_id] for n in (0, 12, 29)] == ["1950", "1962", "1979"]
+        assert dates[written[17].record_id] is None  # line 25, in the last chunk, wins over line 18
         no_child_left()
 
     def test_load_records_forks_as_map_store_does(self, tmp_path, monkeypatch):
@@ -727,11 +745,11 @@ class TestMapStore:
         def project(rec):
             if os.getpid() != parent:
                 if reply == "unpicklable-value":
-                    return rec.record_id, lambda: None
+                    return lambda: None
                 if reply == "unpicklable-error":
                     raise ValueError(lambda: None)
                 raise RebuildError(rec.oai_identifier, "not rendered")
-            return rec.record_id, rec.title
+            return rec.title
 
         with pytest.raises(StoreError) as failed:
             records.map_store(path, project)
