@@ -189,6 +189,16 @@ def _dominant_gap_degenerate(m: np.ndarray, rel_gap: float = 1e-9) -> bool:
     return (lead - second) <= rel_gap * lead
 
 
+def check_hits_settings(tol: float, max_iter: int, convention: str) -> None:
+    """Raise ``AnalyticsError`` naming the first setting ``hits`` cannot run with."""
+    if convention not in CONVENTIONS:
+        raise AnalyticsError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    if not 0 < tol < math.inf:  # NaN never converges, and inf "converges" after one sweep
+        raise AnalyticsError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise AnalyticsError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def hits(
     graph: MscGraph,
     tol: float = 1e-10,
@@ -209,12 +219,7 @@ def hits(
     """
     import numpy as np
 
-    if convention not in CONVENTIONS:
-        raise AnalyticsError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if not 0 < tol < math.inf:  # NaN never converges, and inf "converges" after one sweep
-        raise AnalyticsError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise AnalyticsError(f"max_iter must be >= 1, got {max_iter}")
+    check_hits_settings(tol, max_iter, convention)
     n = graph.size
     m = graph.weights.astype(np.float64)
     if not m.any():  # no edge, and no node either when n == 0
@@ -277,6 +282,19 @@ class WindowSeries:
     entries: list[WindowEntry] = field(default_factory=list)
 
 
+def check_series_settings(
+    start_year: int, end_year: int, window: int, tol: float, max_iter: int, convention: str
+) -> None:
+    """Raise ``AnalyticsError`` naming the first setting ``sliding_window_series`` cannot run with."""
+    if start_year > end_year:
+        raise AnalyticsError(f"start_year {start_year} > end_year {end_year}")
+    if start_year < 0 or end_year > 9999:  # record dates are four-digit years
+        raise AnalyticsError(f"years must be from 0 to 9999, not {start_year} to {end_year}")
+    if window < 1:
+        raise AnalyticsError("window must be >= 1")
+    check_hits_settings(tol, max_iter, convention)
+
+
 def sliding_window_series(
     records: Iterable[Classification],
     start_year: int,
@@ -292,12 +310,7 @@ def sliding_window_series(
     in [Y, Y+window-1]; undated articles are in no window, and nodes absent
     from a window get no rank that year.
     """
-    if start_year > end_year:
-        raise AnalyticsError(f"start_year {start_year} > end_year {end_year}")
-    if start_year < 0 or end_year > 9999:  # record dates are four-digit years
-        raise AnalyticsError(f"years must be from 0 to 9999, not {start_year} to {end_year}")
-    if window < 1:
-        raise AnalyticsError("window must be >= 1")
+    check_series_settings(start_year, end_year, window, tol, max_iter, convention)
     series = WindowSeries(start_year=start_year, end_year=end_year, window=window)
     graphs = _window_graphs(records, lambda rec: rec.year, start_year, end_year, window)
     for year, graph in zip(range(start_year, end_year + 1), graphs):

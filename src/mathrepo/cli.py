@@ -301,25 +301,22 @@ def cmd_stats(args, config: PipelineConfig) -> int:
 
 
 def cmd_hits(args, config: PipelineConfig) -> int:
-    nodes = [n.strip() for n in args.nodes.split(",") if n.strip()] if args.nodes else None
+    # every flag is checked before the store is read, and so before any file is written
+    settings = {"start_year": args.from_year, "end_year": args.to_year, "window": args.window,
+                "tol": args.tol, "max_iter": args.max_iter, "convention": args.convention}
+    try:
+        analytics.check_series_settings(**settings)
+    except analytics.AnalyticsError as exc:
+        raise UsageError(f"hits: {exc}") from exc
+    # each node names a chart file, written once however often it is listed
+    nodes = list(dict.fromkeys(n.strip() for n in args.nodes.split(",") if n.strip())) if args.nodes else None
     bad = [node for node in nodes or () if len(node) != 2 or not is_msc_code(node)]
-    if bad:  # checked before the store is read: each node names a chart file
+    if bad:
         raise UsageError(f"--nodes must list two-digit MSC fields, not {', '.join(map(repr, bad))}")
     records = load_classifications(config.store)
     if not records:
         log.warning("store is empty; series will carry zero scores")
-    try:
-        series = analytics.sliding_window_series(
-            records,
-            start_year=args.from_year,
-            end_year=args.to_year,
-            window=args.window,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            convention=args.convention,
-        )
-    except analytics.AnalyticsError as exc:  # each one names a bad flag value
-        raise UsageError(f"hits: {exc}") from exc
+    series = analytics.sliding_window_series(records, **settings)
     for entry in series.entries:
         result = entry.hits
         if not result.converged or result.degenerate:

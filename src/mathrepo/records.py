@@ -7,6 +7,7 @@ import csv
 import gc
 import hashlib
 import json
+import logging
 import operator
 import os
 import pickle
@@ -17,10 +18,13 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import msc
 from .errors import MathRepoError
 from .msc import is_msc_code
 from .parsers import Citation, DcRecord, Junii2Record, MetadataError, _as_element
 from .parsers import parse_citation_string, parse_junii2, parse_oai_dc
+
+log = logging.getLogger(__name__)
 
 _DATE_RE = re.compile(r"\d{4}(?:-(?:0[1-9]|1[0-2])(?:-(?:0[1-9]|[12]\d|3[01]))?)?", re.ASCII)  # YYYY[-MM[-DD]]
 
@@ -352,14 +356,17 @@ def store_records(records: Iterable[CanonicalRecord], path) -> int:
     return len(records)
 
 
-def _read_lines(path) -> list[str]:
-    """The store's lines, without their ends, as file iteration (``newline=None``) splits
-    them; bytes that are not UTF-8 are a ``StoreError`` naming the file."""
+def _split_lines(path, data: bytes) -> list[str]:
+    """The lines of the store ``path`` whose bytes are ``data``, without their ends, as file
+    iteration (``newline=None``) splits them; bytes that are not UTF-8 are a ``StoreError``
+    naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StoreError(f"{path}: not UTF-8: {exc}") from exc
+    if "\r" in text:  # universal newlines: "\r\n" and "\r" each end a line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 class Classification(NamedTuple):
@@ -441,7 +448,11 @@ def map_store(path, project: Callable[[CanonicalRecord], object]) -> dict:
     A chunk fails alike in either process: the first exception in line order is raised
     once every child is reaped.
     """
-    lines = _read_lines(path)
+    return _map_lines(path, _split_lines(path, Path(path).read_bytes()), project)
+
+
+def _map_lines(path, lines: list[str], project) -> dict:
+    """``map_store`` of the store ``path`` whose lines are ``lines``."""
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
     bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
     children = []
@@ -471,10 +482,46 @@ def load_records(path) -> list[CanonicalRecord]:
     return list(map_store(path, lambda rec: rec).values())
 
 
+# the source of the code that decodes and checks a store line and defines Classification, hashed
+_DECODER_SHA256 = hashlib.sha256(b"".join(Path(module).read_bytes() for module in (__file__, msc.__file__)))
+
+
+def _cached(row) -> Classification:
+    """A sidecar row as a ``Classification``; a ``ValueError`` or ``TypeError`` unless it is
+    ``[str, [str, ...], int or null]``."""
+    primary, secondary, year = row
+    if type(primary) is str and type(secondary) is list and all(type(code) is str for code in secondary) \
+            and (year is None or type(year) is int):
+        return Classification(primary, secondary, year)
+    raise ValueError(f"not a classification: {row!r}")
+
+
 def load_classifications(path) -> list[Classification]:
-    """The ``Classification`` of each record in a store, read as ``map_store`` reads it."""
-    rows = map_store(path, operator.attrgetter(*Classification._fields))  # plain tuples pickle faster
-    return list(map(Classification._make, rows.values()))
+    """The ``Classification`` of each record in a store, read as ``map_store`` reads it.
+
+    The rows are kept in ``<path>.classifications`` under a key, the sha256 of the decoder's
+    source followed by the store's bytes, so a store read again unchanged is not decoded again.
+    A sidecar that cannot be read, is not such a file or has another key is ignored, and one
+    that cannot be written is left out: the sidecar never fails a read nor changes what it returns.
+    """
+    data = Path(path).read_bytes()  # the one read, both hashed and decoded
+    digest = _DECODER_SHA256.copy()
+    digest.update(data)
+    key = digest.hexdigest()
+    sidecar = Path(f"{path}.classifications")
+    try:
+        cached = json.loads(sidecar.read_bytes())
+        if cached["key"] == key:
+            return list(map(_cached, cached["rows"]))
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):  # a missing or damaged sidecar
+        pass
+    project = operator.attrgetter(*Classification._fields)  # plain tuples pickle faster
+    rows = list(_map_lines(path, _split_lines(path, data), project).values())
+    try:
+        replace_file(sidecar, [json.dumps({"key": key, "rows": rows})])
+    except OSError as exc:
+        log.debug("classifications not kept: %s", exc)
+    return list(map(Classification._make, rows))
 
 
 def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:

@@ -408,6 +408,17 @@ class TestMalformedStore:
         assert not (tmp_path / "out").exists()
         no_child_left()
 
+    def test_malformed_line_after_a_cached_read_stops_the_stage(self, tmp_path, caplog):
+        store, config = stage_inputs(tmp_path)
+        assert run(config, "stats") == 0
+        assert (tmp_path / "records.jsonl.classifications").is_file()
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write('{"record_id": "broken"\n')
+        for argv in (("stats",), ("hits", "--from", "1998", "--to", "1999")):
+            caplog.clear()
+            assert run(config, *argv) == 1
+            assert f"{store}:3" in caplog.text
+
     def test_value_of_wrong_type_stops_enrich(self, tmp_path, caplog):
         store, config = stage_inputs(tmp_path)
         line = json.loads(store.read_text(encoding="utf-8").splitlines()[0])
@@ -601,6 +612,16 @@ class TestSettingsAndInputs:
         assert run(config, *argv) == 2
         assert message in caplog.text
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_repeated_node_is_written_once(self, tmp_path):
+        store, config = stage_inputs(tmp_path)
+        store_records([classified_record(1, 1995, "53A35", ["32A10"]), classified_record(2, 1996, "32A10", ["53A35"])],
+                      store)
+        assert run(config, "hits", "--from", "1995", "--to", "1996", "--nodes", "53,53") == 0
+        out = tmp_path / "out"
+        rows = (out / "hits_series.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["year", "node"], ["1995", "53"], ["1996", "53"]]
+        assert sorted(path.name for path in out.iterdir()) == ["hits_53.svg", "hits_series.csv"]
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\0b"])
     def test_name_that_is_not_a_file_name_exits_two(self, tmp_path, caplog, name):
@@ -943,10 +964,13 @@ class TestStatsHits:
         totals = tmp_path / "totals.tsv"
         totals.write_text("".join(f"{field}\t1000\n" for field in FIELDS), encoding="utf-8")
         outputs = {}
+        sidecar = tmp_path / "records.jsonl.classifications"
         for name, chunks in (("serial", 1), ("forked", 3)):
             force_fork(monkeypatch, cpus=chunks, lines_per_process=10)
             config = write_config(tmp_path, endpoints=[], output_dir=str(tmp_path / name))
+            sidecar.unlink(missing_ok=True)  # so that stats, and then hits, decode the store
             assert run(config, "stats", "--totals", str(totals)) == 0
+            sidecar.unlink()
             assert run(config, "hits", "--from", "1990", "--to", "1995", "--window", "3") == 0
             for fmt in ("eprints", "mets", "ore"):
                 assert run(config, "export", "--format", fmt) == 0
@@ -955,6 +979,41 @@ class TestStatsHits:
         assert len([name for name in outputs["serial"] if name.endswith((".eprints.xml", ".mets.xml"))]) == 120
         assert outputs["forked"] == outputs["serial"]
         no_child_left()
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-json", "wrong-shape", "directory", "unwritable"])
+    def test_sidecar_that_cannot_serve_is_a_miss(self, tmp_path, caplog, damage):
+        records = [classified_record(n, 1990 + n % 6, f"{FIELDS[n % 5]}A10", [f"{FIELDS[(n + 1) % 7]}B20"])
+                   for n in range(20)]
+        store_records(records, tmp_path / "records.jsonl")
+        totals = tmp_path / "totals.tsv"
+        totals.write_text("".join(f"{field}\t1000\n" for field in FIELDS), encoding="utf-8")
+        sidecar = tmp_path / "records.jsonl.classifications"
+        outputs = {}
+        for name in ("first", "damaged"):
+            if name == "damaged":
+                kept = sidecar.read_bytes()
+                if damage == "truncated":
+                    sidecar.write_bytes(kept[:len(kept) // 2])
+                elif damage == "not-json":
+                    sidecar.write_bytes(b"\xff not JSON")
+                elif damage == "wrong-shape":
+                    sidecar.write_text(json.dumps({"key": json.loads(kept)["key"], "rows": [[1]]}), encoding="utf-8")
+                else:
+                    sidecar.unlink()
+                    (tmp_path / ("records.jsonl.classifications" + (".tmp" if damage == "unwritable" else ""))).mkdir()
+            config = write_config(tmp_path, endpoints=[], output_dir=str(tmp_path / name))
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="mathrepo"):
+                assert run(config, "stats", "--totals", str(totals)) == 0
+                assert run(config, "hits", "--from", "1990", "--to", "1995", "--window", "3") == 0
+            logged = [r.getMessage() for r in caplog.records if r.levelname != "DEBUG"]
+            outputs[name] = logged, {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())}
+        assert outputs["damaged"] == outputs["first"]
+        if damage in ("directory", "unwritable"):
+            assert not sidecar.is_file()
+            assert "classifications not kept" in caplog.text
+        else:
+            assert sidecar.read_bytes() == kept  # rewritten whole by the first read after the damage
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])

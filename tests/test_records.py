@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import re
@@ -580,6 +581,7 @@ class TestLoadClassifications:
         assert expected[5] == ("53A35", ["40B10", "41B10"], 1955)  # later lines win, in first place
         assert expected[16] == ("27A05", ["40B10", "41B10"], None)
         assert load_classifications(path) == expected  # in-process
+        (tmp_path / "store.jsonl.classifications").unlink()  # so the store is decoded again, forked
         force_fork(monkeypatch)
         forks = counted_forks(monkeypatch)
         assert load_classifications(path) == expected
@@ -673,6 +675,85 @@ class TestLoadClassifications:
             with pytest.raises(KeyboardInterrupt):
                 load(path)
             no_child_left()
+
+
+def classified_by_decode(path) -> list[Classification]:
+    return [Classification(r.msc_primary, r.msc_secondary, r.year) for r in load_records(path)]
+
+
+def refuse_decode(monkeypatch) -> None:
+    """Make any decode of a store fail, so a read that succeeds came from its sidecar."""
+    def refused(*args):
+        raise AssertionError("the store was decoded")
+
+    monkeypatch.setattr(records, "_map_lines", refused)
+
+
+class TestClassificationsSidecar:
+    @pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+    def test_hit_returns_the_rows_a_decode_returns(self, tmp_path, monkeypatch, forked):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        expected = classified_by_decode(path)
+        if forked:
+            force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        assert load_classifications(path) == expected
+        assert len(forks) == (2 if forked else 0)
+        assert (tmp_path / "store.jsonl.classifications").is_file()
+        refuse_decode(monkeypatch)
+        cached = load_classifications(path)
+        assert cached == expected
+        assert {type(row) for row in cached} == {Classification}
+        assert len(forks) == (2 if forked else 0)
+        no_child_left()
+
+    def test_a_changed_byte_of_the_store_is_a_miss(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        load_classifications(path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"date": "1950"', b'"date": "1951"'))
+        expected = classified_by_decode(path)
+        assert expected[0].year == 1951
+        assert load_classifications(path) == expected
+
+    def test_sidecar_of_other_decoder_code_is_a_miss(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        with monkeypatch.context() as m:  # a decoder that found no record, keyed by its own code
+            m.setattr(records, "_DECODER_SHA256", hashlib.sha256(b"other decoder code"))
+            m.setattr(records, "_map_lines", lambda *args: {})
+            assert load_classifications(path) == []
+        assert load_classifications(path) == classified_by_decode(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [5, "rows", [["53A35", ["32A10"]]], [["53A35", "32A10", 1950]], [["53A35", [32], 1950]],
+         [[53, [], 1950]], [["53A35", [], "1950"]], [["53A35", [], 1950.0]], [{"a": 1, "b": 2, "c": 3}]],
+        ids=["int", "str", "short-row", "secondary-str", "secondary-int", "primary-int", "year-str",
+             "year-float", "row-object"],
+    )
+    def test_rows_of_the_wrong_shape_are_a_miss(self, tmp_path, rows):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        expected = load_classifications(path)
+        sidecar = tmp_path / "store.jsonl.classifications"
+        key = json.loads(sidecar.read_bytes())["key"]
+        sidecar.write_text(json.dumps({"key": key, "rows": rows}), encoding="utf-8")
+        assert load_classifications(path) == expected
+        assert json.loads(sidecar.read_bytes())["rows"] == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_are_read_as_text_mode_reads_them(self, tmp_path, end):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        expected = classified_by_decode(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.read().split("\n")) == 31
+        assert classified_by_decode(path) == expected
+        assert load_classifications(path) == expected
 
 
 class RebuildError(Exception):
