@@ -229,14 +229,13 @@ def hits(
     converged = False
     residual = float("inf")
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1):  # each norm as np.linalg.norm takes it: sqrt(v @ v)
         x_new = m.T @ (m @ x)
-        x_new /= np.linalg.norm(x_new)
+        x_new /= math.sqrt(x_new @ x_new)
         y_new = m @ (m.T @ y)
-        y_new /= np.linalg.norm(y_new)
-        residual = max(
-            float(np.linalg.norm(x_new - x)), float(np.linalg.norm(y_new - y))
-        )
+        y_new /= math.sqrt(y_new @ y_new)
+        dx, dy = x_new - x, y_new - y
+        residual = math.sqrt(max(dx @ dx, dy @ dy))
         x, y = x_new, y_new
         if residual < tol:
             converged = True
@@ -340,6 +339,10 @@ _SERIES_STYLE = (
 )
 
 
+_WIDTH, _HEIGHT, _LEFT, _TOP = 640, 360, 60, 50
+_PLOT_W, _PLOT_H = _WIDTH - _LEFT - 60, _HEIGHT - _TOP - 40  # right and bottom margins 60 and 40
+
+
 def export_series(series: WindowSeries, out_dir, nodes: Sequence[str] | None = None) -> dict:
     """Write the series as CSV and one SVG chart per node.
 
@@ -352,102 +355,93 @@ def export_series(series: WindowSeries, out_dir, nodes: Sequence[str] | None = N
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_nodes = list(nodes) if nodes else sorted({n for e in series.entries for n in e.nodes})
-    columns = {node: _node_values(series, node) for node in all_nodes}
+    columns = _node_values(series, all_nodes)
 
     csv_path = out / "hits_series.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # it writes a float as repr() does
         writer.writerow(["year", "node", "hub", "authority", "hub_rank", "auth_rank"])
-        for at, entry in enumerate(series.entries):
-            for node in all_nodes:
-                value = columns[node][at]
-                if value is None:
-                    writer.writerow([entry.year, node, "", "", "", ""])
-                else:
-                    hub, authority, hub_rank, auth_rank, _ = value
-                    writer.writerow([entry.year, node, repr(hub), repr(authority), hub_rank, auth_rank])
+        absent = ("", "", "", "")
+        writer.writerows((entry.year, node, *(columns[node][at] or absent)[:4])
+                         for at, entry in enumerate(series.entries) for node in all_nodes)
 
-    years = [entry.year for entry in series.entries]
+    frame = _chart_frame([entry.year for entry in series.entries])
     svg_paths: dict[str, Path] = {}
     for node in all_nodes:
         svg_path = out / f"hits_{node}.svg"
-        svg_path.write_text(_node_chart_svg(years, node, columns[node]), encoding="utf-8")
+        svg_path.write_text(_node_chart_svg(frame, node, columns[node]), encoding="utf-8")
         svg_paths[node] = svg_path
     return {"csv": csv_path, "svg": svg_paths}
 
 
-def _node_values(series: WindowSeries, node: str) -> list[tuple[float, float, int, int, int] | None]:
-    """Per window: the node's hub and authority scores, its hub and authority ranks and the
-    window's node count; None where the node is absent from the window."""
-    values = []
+def _node_values(series: WindowSeries, nodes: list[str]) -> dict[str, list[tuple | None]]:
+    """Per node, per window: the node's hub and authority scores, its hub and authority ranks
+    and the window's node count; None where the node is absent from the window."""
+    columns: dict[str, list[tuple | None]] = {node: [] for node in nodes}
     for entry in series.entries:
-        if node in entry.hub_rank:
-            i = entry.nodes.index(node)
-            values.append((float(entry.hits.hub[i]), float(entry.hits.authority[i]),
-                           entry.hub_rank[node], entry.auth_rank[node], len(entry.nodes)))
-        else:
-            values.append(None)
-    return values
+        at = dict(zip(entry.nodes, range(len(entry.nodes))))
+        hub, authority = entry.hits.hub.tolist(), entry.hits.authority.tolist()
+        for node, values in columns.items():
+            i = at.get(node)
+            values.append(None if i is None else
+                          (hub[i], authority[i], entry.hub_rank[node], entry.auth_rank[node], len(at)))
+    return columns
 
 
-def _node_chart_svg(years: list[int], node: str, values: list) -> str:
-    max_rank = max((value[4] for value in values if value), default=1)
-
-    width, height = 640, 360
-    left, right, top, bottom = 60, 60, 50, 40
-    plot_w, plot_h = width - left - right, height - top - bottom
-
-    def x_pos(idx: int) -> float:
-        if len(years) == 1:
-            return left + plot_w / 2
-        return left + plot_w * idx / (len(years) - 1)
-
-    def y_score(value: float) -> float:
-        return top + plot_h * (1.0 - value)  # scores live in [0, 1]
-
-    def y_rank(value: float) -> float:
-        if max_rank == 1:
-            return top
-        return top + plot_h * (value - 1) / (max_rank - 1)  # rank 1 at the top
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">Field {node}: scores and ranks per window start year</text>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
+def _chart_frame(years: list[int]) -> tuple[list[str], str, str, str]:
+    """What every node's chart shares: each window's x position, formatted; the text before
+    the node in the title and from there to the first line; and the legend."""
+    last = len(years) - 1
+    xs = [f"{_LEFT + _PLOT_W * idx / last if last else _LEFT + _PLOT_W / 2:.1f}" for idx in range(len(years))]
+    head = "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14" font-family="sans-serif">Field ',
+    ])
+    axes = "\n".join([
+        ": scores and ranks per window start year</text>",
+        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_TOP + _PLOT_H}" stroke="black"/>',
+        f'<line x1="{_LEFT}" y1="{_TOP + _PLOT_H}" x2="{_LEFT + _PLOT_W}" y2="{_TOP + _PLOT_H}" '
         f'stroke="black"/>',
-    ]
-    for idx, year in enumerate(years):
-        parts.append(
-            f'<text x="{x_pos(idx):.1f}" y="{height - 18}" text-anchor="middle" '
-            f'font-size="10" font-family="sans-serif">{year}</text>'
+        *(f'<text x="{x}" y="{_HEIGHT - 18}" text-anchor="middle" '
+          f'font-size="10" font-family="sans-serif">{year}</text>' for x, year in zip(xs, years)),
+        f'<text x="14" y="{_TOP + _PLOT_H / 2:.1f}" font-size="10" font-family="sans-serif" '
+        f'transform="rotate(-90 14 {_TOP + _PLOT_H / 2:.1f})" text-anchor="middle">score / rank</text>',
+    ])
+    legend = []
+    for pos, (key, label, color, dash) in enumerate(_SERIES_STYLE):
+        x0 = _LEFT + pos * 140
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        legend.append(
+            f'<line x1="{x0}" y1="34" x2="{x0 + 24}" y2="34" stroke="{color}" '
+            f'stroke-width="1.5"{dash_attr}/>'
         )
-    parts.append(
-        f'<text x="14" y="{top + plot_h / 2:.1f}" font-size="10" font-family="sans-serif" '
-        f'transform="rotate(-90 14 {top + plot_h / 2:.1f})" text-anchor="middle">score / rank</text>'
-    )
+        legend.append(
+            f'<text x="{x0 + 28}" y="38" font-size="10" font-family="sans-serif">{label}</text>'
+        )
+    return xs, head, axes, "\n".join([*legend, "</svg>"])
+
+
+def _node_chart_svg(frame: tuple[list[str], str, str, str], node: str, values: list) -> str:
+    xs, head, axes, legend = frame
+    max_rank = max((value[4] for value in values if value), default=1)
+    # each rank's y, formatted once: rank 1 at the top
+    ranks = [f"{_TOP + _PLOT_H * (rank - 1) / (max_rank - 1) if max_rank > 1 else _TOP:.1f}"
+             for rank in range(max_rank + 1)]
+    parts = [f"{head}{node}{axes}"]
+    runs = [list(run) for present, run in itertools.groupby(enumerate(values), key=lambda item: item[1] is not None)
+            if present]
     for column, (key, label, color, dash) in enumerate(_SERIES_STYLE):  # a column of _node_values
-        scale = y_rank if key.endswith("_rank") else y_score
-        runs = itertools.groupby(enumerate(values), key=lambda item: item[1] is not None)
-        for run in (run for present, run in runs if present):
-            points = " ".join(f"{x_pos(i):.1f},{scale(value[column]):.1f}" for i, value in run)
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        for run in runs:
+            if key.endswith("_rank"):
+                points = " ".join([f"{xs[i]},{ranks[value[column]]}" for i, value in run])
+            else:  # scores live in [0, 1]
+                points = " ".join([f"{xs[i]},{_TOP + _PLOT_H * (1.0 - value[column]):.1f}" for i, value in run])
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                 f'{dash_attr} points="{points}"/>'
             )
-    for pos, (key, label, color, dash) in enumerate(_SERIES_STYLE):
-        x0 = left + pos * 140
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<line x1="{x0}" y1="34" x2="{x0 + 24}" y2="34" stroke="{color}" '
-            f'stroke-width="1.5"{dash_attr}/>'
-        )
-        parts.append(
-            f'<text x="{x0 + 28}" y="38" font-size="10" font-family="sans-serif">{label}</text>'
-        )
-    parts.append("</svg>")
+    parts.append(legend)
     return "\n".join(parts)

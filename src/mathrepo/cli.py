@@ -7,6 +7,7 @@ Every subcommand is deterministic given fixed inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import operator
@@ -357,6 +358,9 @@ def main(argv=None) -> int:
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    collecting = gc.isenabled()
+    if args.func is not cmd_serve_fixtures:  # a server's threads and sockets make cycles to collect
+        gc.disable()  # a batch stage builds many short-lived containers and few cycles to free
     try:
         config = _load_pipeline_config(args)
         return args.func(args, config)
@@ -366,6 +370,9 @@ def main(argv=None) -> int:
     except (MathRepoError, OSError) as exc:  # an OSError's message names its path
         log.error("%s", exc)
         return EXIT_PARTIAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

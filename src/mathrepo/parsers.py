@@ -235,9 +235,3 @@ def citation_text(journal: str, volume: str, year: int | None, pages: str) -> st
     if pages:
         out = f"{out}, {pages}" if out else pages
     return out
-
-
-def format_citation(c: Citation) -> str:
-    """Canonical rendering "journal volume (year), spage-epage"."""
-    pages = f"{c.spage}-{c.epage}" if c.spage is not None and c.epage is not None else ""
-    return citation_text(c.journal_title, c.volume, c.year, pages)

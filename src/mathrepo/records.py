@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import calendar
 import csv
-import gc
 import hashlib
+import itertools
 import json
 import logging
 import operator
@@ -456,16 +456,12 @@ def _map_lines(path, lines: list[str], project) -> dict:
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
     bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
     children = []
-    collecting = gc.isenabled()
-    gc.disable()  # a decode builds many containers and no reference cycle, so a collection frees nothing
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
             children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
         rows = _mapped(path, lines[:bounds[1]], 1, project)
     finally:
         replies = [_reply(pid, read_fd) for pid, read_fd in children]
-        if collecting:
-            gc.enable()
     for reply in replies:  # in line order, so the first failure is the one raised
         try:
             value = pickle.loads(reply)
@@ -486,14 +482,16 @@ def load_records(path) -> list[CanonicalRecord]:
 _DECODER_SHA256 = hashlib.sha256(b"".join(Path(module).read_bytes() for module in (__file__, msc.__file__)))
 
 
-def _cached(row) -> Classification:
-    """A sidecar row as a ``Classification``; a ``ValueError`` or ``TypeError`` unless it is
-    ``[str, [str, ...], int or null]``."""
-    primary, secondary, year = row
-    if type(primary) is str and type(secondary) is list and all(type(code) is str for code in secondary) \
-            and (year is None or type(year) is int):
-        return Classification(primary, secondary, year)
-    raise ValueError(f"not a classification: {row!r}")
+def _cached(rows) -> list[Classification]:
+    """The sidecar's rows as ``Classification``s; a ``ValueError`` or ``TypeError`` unless ``rows``
+    is a list of ``[str, [str, ...], int or null]``. Each check takes a whole column in C."""
+    if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
+        primary, secondary, year = list(zip(*rows)) or ((), (), ())
+        if set(map(type, primary)) <= {str} and set(map(type, secondary)) <= {list} \
+                and set(map(type, itertools.chain.from_iterable(secondary))) <= {str} \
+                and set(map(type, year)) <= {int, type(None)}:
+            return list(map(tuple.__new__, itertools.repeat(Classification), rows))  # _make, in C
+    raise ValueError("not classification rows")
 
 
 def load_classifications(path) -> list[Classification]:
@@ -512,7 +510,7 @@ def load_classifications(path) -> list[Classification]:
     try:
         cached = json.loads(sidecar.read_bytes())
         if cached["key"] == key:
-            return list(map(_cached, cached["rows"]))
+            return _cached(cached["rows"])
     except (OSError, ValueError, TypeError, KeyError, RecursionError):  # a missing or damaged sidecar
         pass
     project = operator.attrgetter(*Classification._fields)  # plain tuples pickle faster

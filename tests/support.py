@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mathrepo.analytics import MscGraph
+from mathrepo.parsers import Citation, citation_text
 from mathrepo.records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +139,13 @@ def no_child_left() -> None:
     """Assert that this process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def format_citation(c: Citation) -> str:
+    """Canonical rendering "journal volume (year), spage-epage", which ``parse_citation_string``
+    reads back."""
+    pages = f"{c.spage}-{c.epage}" if c.spage is not None and c.epage is not None else ""
+    return citation_text(c.journal_title, c.volume, c.year, pages)
 
 
 # ---------------------------------------------------------------------------

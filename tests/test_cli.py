@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import mathrepo
+from mathrepo import analytics
 from mathrepo.cli import main
 from mathrepo.fixture_server import serve_fixtures
 from mathrepo.records import load_records, store_records
@@ -1066,6 +1068,73 @@ class TestServeFixturesCommand:
         text = parser.format_help()
         for name in ("harvest", "transform", "enrich", "export", "stats", "hits", "serve-fixtures"):
             assert name in text
+
+
+class TestCollectorPause:
+    """A batch stage runs with the cyclic collector paused, and `main` gives back the state it found."""
+
+    def test_hits_scores_with_the_collector_paused(self, tmp_path, monkeypatch):
+        _, config = stage_inputs(tmp_path)
+        seen, scored = [], analytics.sliding_window_series
+
+        def series(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return scored(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, "sliding_window_series", series)
+        assert gc.isenabled()
+        assert run(config, "hits", "--from", "1998", "--to", "1999") == 0
+        assert seen == [False]
+        assert gc.isenabled()
+        no_child_left()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2", "raises"])
+    def test_collector_state_is_given_back(self, tmp_path, monkeypatch, outcome, enabled):
+        store, config = stage_inputs(tmp_path)
+        argv, code = ["hits", "--from", "1998", "--to", "1999"], {"exit-0": 0, "exit-1": 1, "exit-2": 2}.get(outcome)
+        if outcome == "exit-1":  # a malformed store
+            with open(store, "a", encoding="utf-8") as fh:
+                fh.write('{"record_id": "broken"\n')
+        elif outcome == "exit-2":  # a bad flag
+            argv += ["--window", "0"]
+        elif outcome == "raises":
+            def broken(*args, **kwargs):
+                raise RuntimeError("a stage that fails unexpectedly")
+
+            monkeypatch.setattr(analytics, "sliding_window_series", broken)
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if code is None:
+                with pytest.raises(RuntimeError):
+                    run(config, *argv)
+            else:
+                assert run(config, *argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        no_child_left()
+
+    def test_serve_fixtures_runs_collecting(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        class Server:
+            records, base_url = [], "http://127.0.0.1:1"
+
+            def wait(self, timeout=None):
+                seen.append(gc.isenabled())
+                raise KeyboardInterrupt
+
+            def close(self):
+                seen.append("closed")
+
+        monkeypatch.setattr("mathrepo.cli.serve_fixtures", lambda *args, **kwargs: Server())
+        config = write_config(tmp_path, endpoints=[])
+        assert main(["--config", str(config), "serve-fixtures", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "serving 0 fixture records at http://127.0.0.1:1\n"
+        assert seen == [True, "closed"]
+        assert gc.isenabled()
+        no_child_left()
 
 
 def _probe(code: str) -> str:

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from mathrepo.oai_client import parse_oai_envelope
 from mathrepo.parsers import (
     MetadataError,
-    format_citation,
     parse_citation_string,
     parse_junii2,
     parse_oai_dc,
 )
 
-from support import EUCLID_DC, OCHANOMIZU_JUNII2
+from support import EUCLID_DC, OCHANOMIZU_JUNII2, format_citation
 
 
 @pytest.fixture(scope="module")

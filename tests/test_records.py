@@ -730,9 +730,10 @@ class TestClassificationsSidecar:
     @pytest.mark.parametrize(
         "rows",
         [5, "rows", [["53A35", ["32A10"]]], [["53A35", "32A10", 1950]], [["53A35", [32], 1950]],
-         [[53, [], 1950]], [["53A35", [], "1950"]], [["53A35", [], 1950.0]], [{"a": 1, "b": 2, "c": 3}]],
+         [[53, [], 1950]], [["53A35", [], "1950"]], [["53A35", [], 1950.0]], [{"a": 1, "b": 2, "c": 3}],
+         [["53A35", [], True]], [["53A35", [], 1950, 1951]], None, [["53A35", [["32A10"]], 1950]]],
         ids=["int", "str", "short-row", "secondary-str", "secondary-int", "primary-int", "year-str",
-             "year-float", "row-object"],
+             "year-float", "row-object", "year-bool", "row-of-four", "rows-null", "secondary-nested"],
     )
     def test_rows_of_the_wrong_shape_are_a_miss(self, tmp_path, rows):
         path = tmp_path / "store.jsonl"
