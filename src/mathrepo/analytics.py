@@ -6,12 +6,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MathRepoError
-from .msc import msc_top_level
+from .msc import _MSC_CODE_RE
 from .records import Classification, read_table
 
 # numpy is imported inside the functions that build graphs and score them, so
@@ -66,15 +67,19 @@ def share_rows_from_counts(
     return rows
 
 
+def _top_levels(codes: list[str]) -> list[str]:
+    """Each code's two-digit field, as ``msc_top_level`` gives it: the codes are matched in one
+    C-level pass, and the first bad one raises the error ``msc_top_level`` would."""
+    for code in itertools.filterfalse(_MSC_CODE_RE.match, codes):
+        raise ValueError(f"invalid MSC code: {code!r}")
+    return [code[:2] for code in codes]
+
+
 def field_share_table(
     records: Iterable[Classification], totals: Mapping[str, int]
 ) -> list[FieldShareRow]:
     """Article share per top-level field, counting primary classifications."""
-    counts: dict[str, int] = {}
-    for rec in records:
-        if rec.msc_primary:
-            top = msc_top_level(rec.msc_primary)
-            counts[top] = counts.get(top, 0) + 1
+    counts = Counter(_top_levels([rec.msc_primary for rec in records if rec.msc_primary]))
     return share_rows_from_counts(counts, totals)
 
 
@@ -130,25 +135,29 @@ def _window_graphs(
     records: Iterable[Classification], year_of: Callable, first: int, last: int, window: int
 ) -> Iterator[MscGraph]:
     """Yield, for Y = first..last, the graph of the records whose ``year_of`` is in [Y, Y+window-1].
-    Each record's pairs are read once into a running N x N count matrix that moves a year per step."""
+    The code pairs are sorted by year once; a running N x N count matrix moves a year per step."""
     import numpy as np
 
-    pairs_by_year: dict[int, list[tuple[str, str]]] = {}
-    for rec in records:
-        if rec.msc_primary and rec.msc_secondary and (y := year_of(rec)) is not None and first <= y < last + window:
-            src = msc_top_level(rec.msc_primary)
-            pairs_by_year.setdefault(y, []).extend((src, msc_top_level(code)) for code in rec.msc_secondary)
-    nodes = sorted({node for pairs in pairs_by_year.values() for pair in pairs for node in pair})
+    kept = [(y, rec.msc_primary, rec.msc_secondary) for rec in records
+            if rec.msc_primary and rec.msc_secondary and (y := year_of(rec)) is not None and first <= y < last + window]
+    tops = _top_levels([code for _, primary, secondaries in kept for code in (primary, *secondaries)])
+    nodes = sorted(set(tops))
     index, n = {node: i for i, node in enumerate(nodes)}, len(nodes)
-    positions = {year: np.array([index[src] * n + index[dst] for src, dst in pairs], dtype=np.int64)
-                 for year, pairs in pairs_by_year.items()}
-    counts = np.zeros(n * n, dtype=np.int64)
-    for year, at in positions.items():  # the window before the first: years first-1..first+window-2
-        if first - 1 <= year < first + window - 1:
-            np.add.at(counts, at, 1)
-    for year in range(first, last + 1):
-        np.subtract.at(counts, positions.get(year - 1, []), 1)
-        np.add.at(counts, positions.get(year + window - 1, []), 1)
+    at = np.fromiter(map(index.__getitem__, tops), np.int64, len(tops))
+    fanout = np.fromiter((len(secondaries) for _, _, secondaries in kept), np.int64, len(kept))
+    src = np.cumsum(fanout + 1) - fanout - 1  # each record's primary in tops, its secondaries after it
+    pairs = np.repeat(at[src] * n, fanout) + np.delete(at, src)  # src * n + dst, record by record
+    years = np.repeat(np.fromiter((y for y, _, _ in kept), np.int64, len(kept)), fanout)
+    order = np.argsort(years)
+    years, pairs = years[order], pairs[order]
+    end = int(years[-1]) + 1 if years.size else first  # no pair is from this year or later
+    starts = np.searchsorted(years, range(first, last + 1)).tolist()
+    stops = np.searchsorted(years, [min(year + window, end) for year in range(first, last + 1)]).tolist()
+    counts, start, stop = np.zeros(n * n, dtype=np.int64), 0, 0
+    for new_start, new_stop in zip(starts, stops):  # window Y: pairs[starts[Y - first]:stops[Y - first]]
+        counts += np.bincount(pairs[stop:new_stop], minlength=n * n)
+        counts -= np.bincount(pairs[start:new_start], minlength=n * n)
+        start, stop = new_start, new_stop
         weights = counts.reshape(n, n)  # its nodes are the fields on some edge
         keep = np.flatnonzero(weights.any(axis=0) | weights.any(axis=1))
         yield MscGraph(nodes=[nodes[i] for i in keep], weights=weights[np.ix_(keep, keep)])

@@ -12,6 +12,7 @@ import pytest
 from mathrepo.analytics import (
     AnalyticsError,
     MscGraph,
+    _window_graphs,
     build_msc_graph,
     export_series,
     field_share_table,
@@ -50,6 +51,13 @@ SHARE_TABLE = [
 ]
 
 
+def assert_same_graph(graph: MscGraph, reference: MscGraph) -> None:
+    """The same nodes in the same order, and the same int64 weights."""
+    assert graph.nodes == reference.nodes
+    assert graph.weights.dtype == reference.weights.dtype == np.int64
+    assert np.array_equal(graph.weights, reference.weights)
+
+
 class TestShareTable:
     @pytest.mark.parametrize("msc2,count,total,expected", SHARE_TABLE)
     def test_published_rows_reproduce_exactly(self, msc2, count, total, expected):
@@ -85,6 +93,14 @@ class TestShareTable:
         by_field = {row.msc2: row for row in rows}
         assert by_field["57"].count == 2
         assert by_field["32"].count == 1
+
+    def test_bad_primary_raises_naming_it(self):
+        records = [classified_record(n, 1999, "57R10", ["32A10"]) for n in range(3)]
+        records[1].msc_primary = "badprimary"
+        records[2].msc_secondary = ["badsecondary"]  # only primaries are counted, or checked
+        with pytest.raises(ValueError, match="invalid MSC code: 'badprimary'"):
+            field_share_table(records, {"57": 100})
+        assert [row.count for row in field_share_table(records[::2], {"57": 100})] == [2]
 
     def test_load_totals(self, tmp_path):
         path = tmp_path / "totals.tsv"
@@ -351,7 +367,8 @@ class TestSlidingWindows:
         for window in (1, 3, 10):
             series = sliding_window_series(records, 1985, 2010, window=window)
             assert [e.year for e in series.entries] == list(range(1985, 2011))
-            for entry in series.entries:
+            windows = _window_graphs(records, lambda rec: rec.year, 1985, 2010, window)
+            for entry, window_graph in zip(series.entries, windows, strict=True):
                 lo, hi = entry.year, entry.year + window - 1
                 oracle = [r for r in records if r.year is not None and lo <= r.year <= hi]
                 graph = build_msc_graph(oracle)
@@ -359,14 +376,16 @@ class TestSlidingWindows:
                 assert entry.nodes == graph.nodes
                 assert np.array_equal(entry.hits.hub, expected.hub)
                 assert np.array_equal(entry.hits.authority, expected.authority)
+                assert_same_graph(window_graph, loop_msc_graph(oracle))
 
-    def test_huge_window_equals_whole_corpus_window(self):
+    @pytest.mark.parametrize("window", [10**9, 2**63, 10**19], ids=["1e9", "2**63", "1e19"])
+    def test_huge_window_equals_whole_corpus_window(self, window):
         records = [
             classified_record(n, 1990 + n % 20, f"{10 + n % 5}A05", [f"{11 + n % 3}B05"])
             for n in range(100)
         ]
         started = time.perf_counter()
-        huge = sliding_window_series(records, 1985, 1989, window=10**9)
+        huge = sliding_window_series(records, 1985, 1989, window=window)
         elapsed = time.perf_counter() - started
         whole = sliding_window_series(records, 1985, 1989, window=25)
         assert elapsed < 1.0
@@ -378,13 +397,16 @@ class TestSlidingWindows:
     def assert_matches_oracle(self, records, start_year, end_year, window):
         series = sliding_window_series(records, start_year, end_year, window=window)
         assert [e.year for e in series.entries] == list(range(start_year, end_year + 1))
-        for entry in series.entries:
+        windows = _window_graphs(records, lambda rec: rec.year, start_year, end_year, window)
+        for entry, window_graph in zip(series.entries, windows, strict=True):
             hi = entry.year + window - 1
-            oracle = build_msc_graph(r for r in records if r.year is not None and entry.year <= r.year <= hi)
+            in_window = [r for r in records if r.year is not None and entry.year <= r.year <= hi]
+            oracle = build_msc_graph(in_window)
             expected = hits(oracle)
             assert entry.nodes == oracle.nodes
             assert np.array_equal(entry.hits.hub, expected.hub)
             assert np.array_equal(entry.hits.authority, expected.authority)
+            assert_same_graph(window_graph, loop_msc_graph(in_window))
         return series
 
     def gapped_corpus(self):
@@ -421,6 +443,37 @@ class TestSlidingWindows:
         records[1].msc_secondary = ["32A10", "bogus"]  # bypasses the constructor's check
         with pytest.raises(ValueError, match="bogus"):
             sliding_window_series(records, 1995, 2000, window=10)
+
+    def test_earlier_record_bad_secondary_reported_before_later_bad_primary(self):
+        records = [classified_record(1, 2000, "53A35", ["32A10"]), classified_record(2, 2001, "53A35", ["32A10"])]
+        records[0].msc_secondary = ["32A10", "badsecondary"]
+        records[1].msc_primary = "badprimary"
+        with pytest.raises(ValueError, match="invalid MSC code: 'badsecondary'"):
+            sliding_window_series(records, 2000, 2001, window=2)
+
+    def test_bad_primary_reported_before_its_own_bad_secondary(self):
+        records = [classified_record(1, 2000, "53A35", ["32A10"])]
+        records[0].msc_primary, records[0].msc_secondary = "badprimary", ["badsecondary"]
+        with pytest.raises(ValueError, match="invalid MSC code: 'badprimary'"):
+            sliding_window_series(records, 2000, 2001, window=2)
+
+    @pytest.mark.parametrize("field", ["msc_primary", "msc_secondary"])
+    def test_int_code_raises_type_error(self, field):
+        records = [classified_record(1, 2000, "53A35", ["32A10"])]
+        setattr(records[0], field, 53 if field == "msc_primary" else ["32A10", 53])
+        with pytest.raises(TypeError):
+            sliding_window_series(records, 2000, 2001, window=2)
+
+    def test_bad_code_outside_every_window_raises_nothing(self):
+        undated = dataclasses.replace(classified_record(1, 2000, "53A35", ["32A10"]), date="")
+        before, after, lonely = (classified_record(n, year, "53A35", ["32A10"])
+                                 for n, year in ((2, 1999), (3, 2003), (4, 2000)))
+        for rec in (undated, before, after):
+            rec.msc_primary, rec.msc_secondary = "badprimary", ["badsecondary"]
+        lonely.msc_primary, lonely.msc_secondary = "badprimary", []  # a primary on no pair
+        good = classified_record(5, 2001, "53A35", ["32A10"])
+        series = sliding_window_series([undated, before, after, lonely, good], 2000, 2001, window=2)
+        assert [entry.nodes for entry in series.entries] == [["32", "53"], ["32", "53"]]
 
     def test_invalid_year_order_rejected(self):
         with pytest.raises(AnalyticsError):

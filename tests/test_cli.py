@@ -912,6 +912,18 @@ class TestStatsHits:
         assert (out / "hits_32.svg").exists()
         assert (out / "hits_53.svg").exists()
 
+    def test_hits_window_beyond_int64_matches_a_covering_window(self, tmp_path):
+        records = [classified_record(n, 1990 + n % 12, f"{FIELDS[n % 5]}A10", [f"{FIELDS[(n + 2) % 7]}B20"])
+                   for n in range(40)]
+        store_records(records, tmp_path / "records.jsonl")
+        outputs = {}
+        for window in ("100", "10000000000000000000"):  # from every start, each reaches past 2001
+            config = write_config(tmp_path, endpoints=[], output_dir=str(tmp_path / window))
+            assert run(config, "hits", "--from", "1990", "--to", "1995", "--window", window) == 0
+            outputs[window] = {path.name: path.read_bytes() for path in sorted((tmp_path / window).iterdir())}
+        assert "hits_series.csv" in outputs["100"]
+        assert outputs["10000000000000000000"] == outputs["100"]
+
     def test_hits_warns_once_per_unconverged_window(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])
         records = [
