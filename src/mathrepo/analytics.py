@@ -9,10 +9,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MathRepoError
-from .msc import _MSC_CODE_RE
+from .msc import msc_fields
 from .records import Classification, read_table
 
 # numpy is imported inside the functions that build graphs and score them, so
@@ -62,24 +62,19 @@ def share_rows_from_counts(
         if msc2 not in totals:
             raise AnalyticsError(f"no world total supplied for field {msc2!r}")
         total = totals[msc2]
-        rows.append(FieldShareRow(msc2, count, total, truncated_percent(count, total)))
+        try:
+            rows.append(FieldShareRow(msc2, count, total, truncated_percent(count, total)))
+        except AnalyticsError as exc:
+            raise AnalyticsError(f"field {msc2!r}: {exc}") from None
     rows.sort(key=lambda row: (-row.percent, row.msc2))
     return rows
-
-
-def _top_levels(codes: list[str]) -> list[str]:
-    """Each code's two-digit field, as ``msc_top_level`` gives it: the codes are matched in one
-    C-level pass, and the first bad one raises the error ``msc_top_level`` would."""
-    for code in itertools.filterfalse(_MSC_CODE_RE.match, codes):
-        raise ValueError(f"invalid MSC code: {code!r}")
-    return [code[:2] for code in codes]
 
 
 def field_share_table(
     records: Iterable[Classification], totals: Mapping[str, int]
 ) -> list[FieldShareRow]:
     """Article share per top-level field, counting primary classifications."""
-    counts = Counter(_top_levels([rec.msc_primary for rec in records if rec.msc_primary]))
+    counts = Counter(msc_fields([rec.msc_primary for rec in records if rec.msc_primary]))
     return share_rows_from_counts(counts, totals)
 
 
@@ -131,16 +126,14 @@ class MscGraph:
         return int(self.weights.sum())
 
 
-def _window_graphs(
-    records: Iterable[Classification], year_of: Callable, first: int, last: int, window: int
-) -> Iterator[MscGraph]:
-    """Yield, for Y = first..last, the graph of the records whose ``year_of`` is in [Y, Y+window-1].
+def _window_graphs(records: Iterable[Classification], first: int, last: int, window: int) -> Iterator[MscGraph]:
+    """Yield, for Y = first..last, the graph of the records whose ``year`` is in [Y, Y+window-1].
     The code pairs are sorted by year once; a running N x N count matrix moves a year per step."""
     import numpy as np
 
     kept = [(y, rec.msc_primary, rec.msc_secondary) for rec in records
-            if rec.msc_primary and rec.msc_secondary and (y := year_of(rec)) is not None and first <= y < last + window]
-    tops = _top_levels([code for _, primary, secondaries in kept for code in (primary, *secondaries)])
+            if rec.msc_primary and rec.msc_secondary and (y := rec.year) is not None and first <= y < last + window]
+    tops = msc_fields([code for _, primary, secondaries in kept for code in (primary, *secondaries)])
     nodes = sorted(set(tops))
     index, n = {node: i for i, node in enumerate(nodes)}, len(nodes)
     at = np.fromiter(map(index.__getitem__, tops), np.int64, len(tops))
@@ -170,7 +163,7 @@ def build_msc_graph(records: Iterable[Classification]) -> MscGraph:
     edge top(p) -> top(si), self-loops included; articles lacking a primary
     or having no secondaries contribute nothing.
     """
-    return next(_window_graphs(records, lambda rec: 0, 0, 0, 1))
+    return next(_window_graphs([Classification(rec.msc_primary, rec.msc_secondary, 0) for rec in records], 0, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +313,7 @@ def sliding_window_series(
     """
     check_series_settings(start_year, end_year, window, tol, max_iter, convention)
     series = WindowSeries(start_year=start_year, end_year=end_year, window=window)
-    graphs = _window_graphs(records, lambda rec: rec.year, start_year, end_year, window)
+    graphs = _window_graphs(records, start_year, end_year, window)
     for year, graph in zip(range(start_year, end_year + 1), graphs):
         result = hits(graph, tol=tol, max_iter=max_iter, convention=convention)
         hub_scores = dict(zip(graph.nodes, result.hub.tolist()))

@@ -1,5 +1,6 @@
 """Mathematics Subject Classification code helpers."""
 
+import itertools
 import re
 
 # Full codes are two ASCII digits, a letter or dash, and two alphanumerics
@@ -12,11 +13,10 @@ def is_msc_code(code: str) -> bool:
     return bool(_MSC_CODE_RE.match(code))
 
 
-def msc_top_level(code: str) -> str:
-    """Two-digit top-level research field of an MSC code ("53A35" -> "53").
-
-    Leading zeros are part of the field name ("05C20" -> "05").
-    """
-    if not is_msc_code(code):
+def msc_fields(codes: list[str]) -> list[str]:
+    """Each code's two-digit top-level field ("53A35" -> "53", "05C20" -> "05"). The codes are
+    matched in one C-level pass; the first that is not a code raises ``ValueError``, and one that
+    is not a str the match's ``TypeError``."""
+    for code in itertools.filterfalse(_MSC_CODE_RE.match, codes):
         raise ValueError(f"invalid MSC code: {code!r}")
-    return code[:2]
+    return [code[:2] for code in codes]

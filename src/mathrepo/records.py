@@ -144,8 +144,9 @@ class CanonicalRecord:
             raise RecordError(f"official_url must be an absolute URL: {self.official_url!r}")
         if self.date and _clean_date(self.date) != self.date:
             raise RecordError(f"date must be a calendar date YYYY[-MM[-DD]]: {self.date!r}")
-        for code in [self.msc_primary, *self.msc_secondary]:
-            if not isinstance(code, str) or code and not is_msc_code(code):
+        # msc_primary is "" (unclassified) or a code; every msc_secondary entry is a code
+        for code in [self.msc_primary, *self.msc_secondary] if self.msc_primary else self.msc_secondary:
+            if not isinstance(code, str) or not is_msc_code(code):
                 raise RecordError(f"invalid MSC code on record: {code!r}")
 
     @property
@@ -497,26 +498,30 @@ def _cached(rows) -> list[Classification]:
 def load_classifications(path) -> list[Classification]:
     """The ``Classification`` of each record in a store, read as ``map_store`` reads it.
 
-    The rows are kept in ``<path>.classifications`` under a key, the sha256 of the decoder's
-    source followed by the store's bytes, so a store read again unchanged is not decoded again.
+    The rows are kept as JSON in ``<path>.classifications``, after a line holding their key:
+    the sha256 of the decoder's source, the store's bytes and the rows' JSON bytes. So a store
+    read again unchanged is not decoded again, and rows changed in any byte are not served.
     A sidecar that cannot be read, is not such a file or has another key is ignored, and one
     that cannot be written is left out: the sidecar never fails a read nor changes what it returns.
     """
     data = Path(path).read_bytes()  # the one read, both hashed and decoded
     digest = _DECODER_SHA256.copy()
     digest.update(data)
-    key = digest.hexdigest()
     sidecar = Path(f"{path}.classifications")
     try:
-        cached = json.loads(sidecar.read_bytes())
-        if cached["key"] == key:
-            return _cached(cached["rows"])
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):  # a missing or damaged sidecar
+        key, _, text = sidecar.read_bytes().partition(b"\n")
+        keyed = digest.copy()
+        keyed.update(text)
+        if key == keyed.hexdigest().encode():
+            return _cached(json.loads(text))
+    except (OSError, ValueError, TypeError, RecursionError):  # a missing or damaged sidecar
         pass
     project = operator.attrgetter(*Classification._fields)  # plain tuples pickle faster
     rows = list(_map_lines(path, _split_lines(path, data), project).values())
+    text = json.dumps(rows)
+    digest.update(text.encode())
     try:
-        replace_file(sidecar, [json.dumps({"key": key, "rows": rows})])
+        replace_file(sidecar, [digest.hexdigest(), "\n", text])
     except OSError as exc:
         log.debug("classifications not kept: %s", exc)
     return list(map(Classification._make, rows))

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import MathRepoError
-from .msc import msc_top_level
+from .msc import msc_fields
 from .parsers import citation_text
 from .records import CanonicalRecord, NameParts, RecordError, RelatedUrl, make_record_id
 from .xmlutil import first_child, local_name, parse_xml, text_of
@@ -58,16 +58,8 @@ def _ep(parent: ET.Element, tag: str, text: str | None = None) -> ET.Element:
 def _subject_items(rec: CanonicalRecord) -> list[str]:
     # Presentation-only: collective "-xx" forms of the record's top-level
     # fields, plus the library class for mathematics.
-    tops: list[str] = []
-    for code in (rec.msc_primary, *rec.msc_secondary):
-        if not code:
-            continue
-        top = msc_top_level(code) + "-xx"
-        if top not in tops:
-            tops.append(top)
-    if tops:
-        tops.append("QA")
-    return tops
+    fields = dict.fromkeys(msc_fields([code for code in (rec.msc_primary, *rec.msc_secondary) if code]))
+    return [*(f"{top}-xx" for top in fields), "QA"] if fields else []
 
 
 # The text elements and the record fields they carry, as three runs in document

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mathrepo import records
 from mathrepo.analytics import MscGraph
 from mathrepo.parsers import Citation, citation_text
 from mathrepo.records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
@@ -133,6 +135,21 @@ def force_fork(monkeypatch, cpus: int = 3, lines_per_process: int = 10) -> None:
     a small store into up to ``cpus`` chunks, one per process, on any host."""
     monkeypatch.setattr("mathrepo.records._LINES_PER_PROCESS", lines_per_process)
     monkeypatch.setattr("mathrepo.records._cpu_count", lambda: cpus)
+
+
+def write_sidecar(store: Path, rows) -> None:
+    """Write ``<store>.classifications`` holding ``rows``, any JSON value, under the key that
+    ``records.load_classifications`` checks, so that a read of ``store`` gets as far as the rows."""
+    text = json.dumps(rows).encode()
+    key = records._DECODER_SHA256.copy()
+    key.update(store.read_bytes())
+    key.update(text)
+    Path(f"{store}.classifications").write_bytes(key.hexdigest().encode() + b"\n" + text)
+
+
+def sidecar_rows(store: Path):
+    """The rows ``<store>.classifications`` holds, as JSON values."""
+    return json.loads(Path(f"{store}.classifications").read_bytes().partition(b"\n")[2])
 
 
 def no_child_left() -> None:

@@ -367,7 +367,7 @@ class TestSlidingWindows:
         for window in (1, 3, 10):
             series = sliding_window_series(records, 1985, 2010, window=window)
             assert [e.year for e in series.entries] == list(range(1985, 2011))
-            windows = _window_graphs(records, lambda rec: rec.year, 1985, 2010, window)
+            windows = _window_graphs(records, 1985, 2010, window)
             for entry, window_graph in zip(series.entries, windows, strict=True):
                 lo, hi = entry.year, entry.year + window - 1
                 oracle = [r for r in records if r.year is not None and lo <= r.year <= hi]
@@ -397,7 +397,7 @@ class TestSlidingWindows:
     def assert_matches_oracle(self, records, start_year, end_year, window):
         series = sliding_window_series(records, start_year, end_year, window=window)
         assert [e.year for e in series.entries] == list(range(start_year, end_year + 1))
-        windows = _window_graphs(records, lambda rec: rec.year, start_year, end_year, window)
+        windows = _window_graphs(records, start_year, end_year, window)
         for entry, window_graph in zip(series.entries, windows, strict=True):
             hi = entry.year + window - 1
             in_window = [r for r in records if r.year is not None and entry.year <= r.year <= hi]

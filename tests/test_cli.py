@@ -30,6 +30,7 @@ from support import (
     no_child_left,
     serve_handler,
     write_dc_fixture_dir,
+    write_sidecar,
 )
 
 YOKOHAMA_JOURNAL = "Nat. Sci. J. Fac. Educ. Hum. Sci. Yokohama National University Sec. I"
@@ -420,6 +421,26 @@ class TestMalformedStore:
             caplog.clear()
             assert run(config, *argv) == 1
             assert f"{store}:3" in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("transform",), ("enrich",), ("export", "--format", "eprints"), ("stats",),
+         ("hits", "--from", "1998", "--to", "1999")],
+        ids=["transform", "enrich", "export", "stats", "hits"],
+    )
+    def test_empty_secondary_code_stops_the_stage(self, tmp_path, caplog, capsys, argv):
+        store, config = stage_inputs(tmp_path)
+        line = json.loads(store.read_text(encoding="utf-8").splitlines()[0])
+        line["msc_primary"], line["msc_secondary"] = "53A35", [""]
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        before = store.read_bytes()
+        assert run(config, *argv) == 1
+        assert f"{store}:3: invalid MSC code on record: ''" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert store.read_bytes() == before
+        assert not (tmp_path / "out").exists()
+        no_child_left()
 
     def test_value_of_wrong_type_stops_enrich(self, tmp_path, caplog):
         store, config = stage_inputs(tmp_path)
@@ -994,7 +1015,9 @@ class TestStatsHits:
         assert outputs["forked"] == outputs["serial"]
         no_child_left()
 
-    @pytest.mark.parametrize("damage", ["truncated", "not-json", "wrong-shape", "directory", "unwritable"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "not-json", "wrong-shape", "directory", "unwritable", "invalid-code", "other-code"]
+    )
     def test_sidecar_that_cannot_serve_is_a_miss(self, tmp_path, caplog, damage):
         records = [classified_record(n, 1990 + n % 6, f"{FIELDS[n % 5]}A10", [f"{FIELDS[(n + 1) % 7]}B20"])
                    for n in range(20)]
@@ -1011,7 +1034,9 @@ class TestStatsHits:
                 elif damage == "not-json":
                     sidecar.write_bytes(b"\xff not JSON")
                 elif damage == "wrong-shape":
-                    sidecar.write_text(json.dumps({"key": json.loads(kept)["key"], "rows": [[1]]}), encoding="utf-8")
+                    write_sidecar(tmp_path / "records.jsonl", [[1]])
+                elif damage.endswith("-code"):  # the first record's primary, kept under its old key
+                    sidecar.write_bytes(kept.replace(b'"05A10"', b'"bogus"' if damage == "invalid-code" else b'"11A10"', 1))
                 else:
                     sidecar.unlink()
                     (tmp_path / ("records.jsonl.classifications" + (".tmp" if damage == "unwritable" else ""))).mkdir()
@@ -1028,6 +1053,14 @@ class TestStatsHits:
             assert "classifications not kept" in caplog.text
         else:
             assert sidecar.read_bytes() == kept  # rewritten whole by the first read after the damage
+
+    def test_stats_names_the_field_whose_count_exceeds_its_total(self, tmp_path, caplog):
+        config = write_config(tmp_path, endpoints=[])
+        store_records([classified_record(n, 1999, "53A35", []) for n in range(5)], tmp_path / "records.jsonl")
+        totals = tmp_path / "totals.tsv"
+        totals.write_text("53\t3\n", encoding="utf-8")
+        assert run(config, "stats", "--totals", str(totals)) == 1
+        assert "field '53': count 5 out of range for total 3" in caplog.text
 
     def test_hits_on_empty_store_warns_and_exits_zero(self, tmp_path, caplog, capsys):
         config = write_config(tmp_path, endpoints=[])

@@ -18,7 +18,7 @@ from mathrepo.enrich import (
     make_match_key,
     normalize_journal,
 )
-from mathrepo.msc import is_msc_code, msc_top_level
+from mathrepo.msc import is_msc_code, msc_fields
 from mathrepo.records import RelatedUrl, store_records
 
 from support import make_record
@@ -291,17 +291,25 @@ class TestEnrich:
 
 class TestMscTopLevel:
     def test_full_code(self):
-        assert msc_top_level("53A35") == "53"
+        assert msc_fields(["53A35"])[0] == "53"
 
     def test_collective_code(self):
-        assert msc_top_level("20-xx") == "20"
+        assert msc_fields(["20-xx"])[0] == "20"
 
     def test_leading_zero_preserved(self):
-        assert msc_top_level("05C20") == "05"
+        assert msc_fields(["05C20"])[0] == "05"
 
     def test_invalid_code_rejected(self):
         with pytest.raises(ValueError):
-            msc_top_level("QA")
+            msc_fields(["QA"])
+
+    def test_first_bad_code_in_list_order_is_reported(self):
+        with pytest.raises(ValueError, match=r"^invalid MSC code: 'QA'$"):
+            msc_fields(["53A35", "QA", "", "53A35\n"])
+
+    def test_code_that_is_not_a_str_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            msc_fields(["53A35", 53])
 
     @pytest.mark.parametrize("code", ["53A35\n", "53\n"])
     def test_trailing_newline_is_not_a_code(self, code):
@@ -312,4 +320,4 @@ class TestMscTopLevel:
     def test_non_ascii_digits_are_not_a_code(self, code):
         assert not is_msc_code(code)
         with pytest.raises(ValueError):
-            msc_top_level(code)
+            msc_fields([code])

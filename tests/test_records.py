@@ -38,7 +38,7 @@ from mathrepo.records import (
 )
 
 from support import EUCLID_DC, OCHANOMIZU_JUNII2, canonical_records, classified_record, force_fork
-from support import make_record, msc_codes, no_child_left
+from support import make_record, msc_codes, no_child_left, sidecar_rows, write_sidecar
 
 
 def euclid_canonical():
@@ -739,11 +739,9 @@ class TestClassificationsSidecar:
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
         expected = load_classifications(path)
-        sidecar = tmp_path / "store.jsonl.classifications"
-        key = json.loads(sidecar.read_bytes())["key"]
-        sidecar.write_text(json.dumps({"key": key, "rows": rows}), encoding="utf-8")
+        write_sidecar(path, rows)
         assert load_classifications(path) == expected
-        assert json.loads(sidecar.read_bytes())["rows"] == json.loads(json.dumps(expected))
+        assert sidecar_rows(path) == json.loads(json.dumps(expected))
 
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_line_ends_are_read_as_text_mode_reads_them(self, tmp_path, end):
