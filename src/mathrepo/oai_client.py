@@ -21,9 +21,13 @@ SUPPORTED_PREFIXES = ("oai_dc", "junii2")
 
 OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 
-# keep extracted payload subtrees readable when re-serialized
+# keep extracted payload subtrees readable when re-serialized, with the same prefixes in every
+# process whatever else it has imported (dc is already in ElementTree's default map)
 ET.register_namespace("oai_dc", "http://www.openarchives.org/OAI/2.0/oai_dc/")
 ET.register_namespace("junii2", "http://ju.nii.ac.jp/junii2")
+ET.register_namespace("atom", "http://www.w3.org/2005/Atom")
+ET.register_namespace("mets", "http://www.loc.gov/METS/")
+ET.register_namespace("xlink", "http://www.w3.org/1999/xlink")
 
 
 class HarvestError(MathRepoError):

@@ -1,16 +1,20 @@
 """Exchange-format serializers: EPrints XML, ORE Atom entries, METS packages.
 
 All serializers are deterministic (same record, byte-identical output) and
-emit well-formed UTF-8 XML.
+emit well-formed UTF-8 XML, written line by line in the bytes ElementTree
+would give; a record holding a character that XML 1.0 cannot carry is a
+``SerializationError``. ElementTree only reads (``from_eprints_xml``).
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
+import re
 import urllib.parse
 import urllib.request
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from xml.sax.saxutils import escape
 
 from .errors import MathRepoError
 from .msc import msc_fields
@@ -25,10 +29,10 @@ DC_NS = "http://purl.org/dc/elements/1.1/"
 XLINK_NS = "http://www.w3.org/1999/xlink"
 ORE_AGGREGATES_REL = "http://www.openarchives.org/ore/terms/aggregates"
 
-ET.register_namespace("atom", ATOM_NS)
-ET.register_namespace("mets", METS_NS)
-ET.register_namespace("dc", DC_NS)
-ET.register_namespace("xlink", XLINK_NS)
+# the characters XML 1.0 forbids: C0 controls other than tab, LF and CR; surrogates; U+FFFE and U+FFFF
+_NOT_XML_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# an attribute value escaped as ElementTree escapes it: & < > and also ", CR, LF and tab
+_attr = functools.partial(escape, entities={'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
 class SerializationError(MathRepoError):
@@ -39,21 +43,28 @@ class DepositError(MathRepoError):
     """A package could not be delivered to the deposit URL."""
 
 
-def _document(root: ET.Element) -> str:
-    ET.indent(root, space="  ")
-    return '<?xml version="1.0" encoding="utf-8" ?>\n' + ET.tostring(root, encoding="unicode")
+def _leaf(depth: int, tag: str, text: str) -> str:
+    """The line of element ``tag`` holding ``text``, ``depth`` levels in; ``<tag />`` when it is empty."""
+    pad = "  " * depth
+    return f"{pad}<{tag}>{escape(text)}</{tag}>" if text else f"{pad}<{tag} />"
+
+
+def _branch(depth: int, start: str, lines: list[str]) -> list[str]:
+    """Element ``start`` (name, then attributes) around ``lines``, ``depth`` levels in; ``<start />`` if none."""
+    pad = "  " * depth
+    return [f"{pad}<{start}>", *lines, f"{pad}</{start.partition(' ')[0]}>"] if lines else [f"{pad}<{start} />"]
+
+
+def _finished(lines: list[str], subject: str) -> str:
+    """The document of ``lines``; a ``SerializationError`` naming ``subject`` if XML cannot carry it."""
+    text = "\n".join(lines)
+    if bad := _NOT_XML_RE.search(text):
+        raise SerializationError(f"{subject} holds {bad.group()!r}, which XML cannot carry")
+    return '<?xml version="1.0" encoding="utf-8" ?>\n' + text
 
 
 # ---------------------------------------------------------------------------
 # EPrints XML
-
-def _ep(parent: ET.Element, tag: str, text: str | None = None) -> ET.Element:
-    # plain tags; the namespace is declared as a literal xmlns attribute on
-    # the eprint element so the document matches the platform layout
-    elem = ET.SubElement(parent, tag)
-    elem.text = text
-    return elem
-
 
 def _subject_items(rec: CanonicalRecord) -> list[str]:
     # Presentation-only: collective "-xx" forms of the record's top-level
@@ -73,13 +84,6 @@ _EP_TEXT_RUNS = (
 )
 
 
-def _ep_texts(ep: ET.Element, rec: CanonicalRecord, run) -> None:
-    for tag, name in run:
-        value = getattr(rec, name)
-        if value:
-            _ep(ep, tag, value)
-
-
 def to_eprints_xml(rec: CanonicalRecord) -> str:
     """Render a record as an EPrints XML import document.
 
@@ -88,45 +92,35 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
     (source, oai_identifier, full_text_url, language) ride along as custom
     elements so the document round-trips.
     """
-    head, biblio, provenance = _EP_TEXT_RUNS
-    root = ET.Element("eprints")
-    ep = ET.SubElement(root, "eprint", {"xmlns": EPRINTS_NS})
-    _ep(ep, "rev_number", "1")
-    _ep(ep, "eprint_status", "archive")
-    _ep(ep, "userid", "1")
-    _ep(ep, "metadata_visibility", "show")
-    _ep(ep, "type", "article")
-    _ep(ep, "ispublished", "pub")
-    subjects = _subject_items(rec)
-    if subjects:
-        container = _ep(ep, "subjects")
-        for code in subjects:
-            _ep(container, "item", code)
-    _ep(ep, "refereed", "TRUE" if rec.refereed else "FALSE")
-    _ep(ep, "full_text_status", "public")
-    _ep(ep, "date_type", "published")
-    _ep_texts(ep, rec, head)
-    if rec.creators:
-        creators = _ep(ep, "creators_name")
-        for name in rec.creators:
-            item = _ep(creators, "item")
-            _ep(item, "family", name.family)
-            _ep(item, "given", name.given)
-    _ep_texts(ep, rec, biblio)
-    if rec.msc_secondary:
-        msc = _ep(ep, "msc")
-        for code in rec.msc_secondary:
-            _ep(msc, "item", code)
-    if rec.mr_number is not None:
-        _ep(ep, "mr", str(rec.mr_number))
-    if rec.related_urls:
-        related = _ep(ep, "related_url")
-        for ru in rec.related_urls:
-            item = _ep(related, "item")
-            _ep(item, "url", ru.url)
-            _ep(item, "type", ru.type)
-    _ep_texts(ep, rec, provenance)
-    return _document(root)
+    head, biblio, provenance = (
+        [_leaf(2, tag, value) for tag, name in run if (value := getattr(rec, name))] for run in _EP_TEXT_RUNS
+    )
+    subjects = [_leaf(3, "item", code) for code in _subject_items(rec)]
+    creators = [line for name in rec.creators
+                for line in _branch(3, "item", [_leaf(4, "family", name.family), _leaf(4, "given", name.given)])]
+    related = [line for ru in rec.related_urls
+               for line in _branch(3, "item", [_leaf(4, "url", ru.url), _leaf(4, "type", ru.type)])]
+    # plain tags; the namespace is a literal xmlns attribute so the document matches the platform layout
+    lines = _branch(0, "eprints", _branch(1, f'eprint xmlns="{EPRINTS_NS}"', [
+        "    <rev_number>1</rev_number>",
+        "    <eprint_status>archive</eprint_status>",
+        "    <userid>1</userid>",
+        "    <metadata_visibility>show</metadata_visibility>",
+        "    <type>article</type>",
+        "    <ispublished>pub</ispublished>",
+        *(_branch(2, "subjects", subjects) if subjects else []),
+        f"    <refereed>{'TRUE' if rec.refereed else 'FALSE'}</refereed>",
+        "    <full_text_status>public</full_text_status>",
+        "    <date_type>published</date_type>",
+        *head,
+        *(_branch(2, "creators_name", creators) if creators else []),
+        *biblio,
+        *(_branch(2, "msc", [_leaf(3, "item", code) for code in rec.msc_secondary]) if rec.msc_secondary else []),
+        *([] if rec.mr_number is None else [_leaf(2, "mr", str(rec.mr_number))]),
+        *(_branch(2, "related_url", related) if related else []),
+        *provenance,
+    ]))
+    return _finished(lines, f"record {rec.record_id}")
 
 
 def from_eprints_xml(data) -> CanonicalRecord:
@@ -145,7 +139,7 @@ def from_eprints_xml(data) -> CanonicalRecord:
     if not texts["title"]:
         raise SerializationError("eprint element has no title")
 
-    def items(tag: str) -> list[ET.Element]:  # the children of list element ``tag``
+    def items(tag: str) -> list:  # the elements that are children of list element ``tag``
         container = first_child(ep, tag)
         return [] if container is None else list(container)
 
@@ -208,64 +202,46 @@ class Aggregation:
 def to_ore_atom(agg: Aggregation) -> str:
     """Render an aggregation as an Atom entry with one ore:aggregates link
     per resource."""
-    entry = ET.Element(f"{{{ATOM_NS}}}entry")
-    ET.SubElement(entry, f"{{{ATOM_NS}}}id").text = agg.resource_map_uri
-    ET.SubElement(entry, f"{{{ATOM_NS}}}title").text = agg.resource_map_uri
-    ET.SubElement(entry, f"{{{ATOM_NS}}}published").text = agg.created
-    ET.SubElement(entry, f"{{{ATOM_NS}}}updated").text = agg.modified
-    entry.append(ET.Comment(" Aggregated Resources "))
-    for res in agg.aggregated:
-        link = ET.SubElement(entry, f"{{{ATOM_NS}}}link")
-        link.set("href", res.href)
-        link.set("title", res.title)
-        link.set("rel", ORE_AGGREGATES_REL)
-    return _document(entry)
+    lines = _branch(0, f'atom:entry xmlns:atom="{ATOM_NS}"', [
+        _leaf(1, "atom:id", agg.resource_map_uri),
+        _leaf(1, "atom:title", agg.resource_map_uri),
+        _leaf(1, "atom:published", agg.created),
+        _leaf(1, "atom:updated", agg.modified),
+        "  <!-- Aggregated Resources -->",
+        *(f'  <atom:link href="{_attr(res.href)}" title="{_attr(res.title)}" rel="{ORE_AGGREGATES_REL}" />'
+          for res in agg.aggregated),
+    ])
+    return _finished(lines, f"resource map {agg.resource_map_uri!r}")
 
 
 # ---------------------------------------------------------------------------
 # METS
 
-def _mets(parent: ET.Element, tag: str, attrib: dict | None = None) -> ET.Element:
-    return ET.SubElement(parent, f"{{{METS_NS}}}{tag}", attrib or {})
-
-
-def _dc(parent: ET.Element, tag: str, text: str) -> None:
-    ET.SubElement(parent, f"{{{DC_NS}}}{tag}").text = text
-
-
 def to_mets(rec: CanonicalRecord) -> str:
     """Render a record as a minimal METS package: header, Dublin Core
     descriptive section, file section (empty without a full-text URL), and
     a single-division structural map."""
-    mets = ET.Element(f"{{{METS_NS}}}mets", {"OBJID": rec.record_id, "LABEL": rec.title})
-    header = _mets(mets, "metsHdr")
-    agent = _mets(header, "agent", {"ROLE": "CREATOR", "TYPE": "OTHER", "OTHERTYPE": "SOFTWARE"})
-    _mets(agent, "name").text = "mathrepo"
-    dmd = _mets(mets, "dmdSec", {"ID": "DMD1"})
-    wrap = _mets(dmd, "mdWrap", {"MDTYPE": "DC"})
-    xml_data = _mets(wrap, "xmlData")
-    _dc(xml_data, "title", rec.title)
-    for name in rec.creators:
-        _dc(xml_data, "creator", name.display())
-    if rec.publisher:
-        _dc(xml_data, "publisher", rec.publisher)
-    if rec.date:
-        _dc(xml_data, "date", rec.date)
-    if rec.publication:
-        _dc(xml_data, "source", citation_text(rec.publication, rec.volume, rec.year, rec.pagerange))
-    _dc(xml_data, "identifier", rec.official_url)
-    if rec.language:
-        _dc(xml_data, "language", rec.language)
-    file_sec = _mets(mets, "fileSec")
-    if rec.full_text_url:
-        group = _mets(file_sec, "fileGrp", {"USE": "public"})
-        file_elem = _mets(group, "file", {"ID": "FILE1", "MIMETYPE": "application/pdf"})
-        _mets(file_elem, "FLocat", {"LOCTYPE": "URL", f"{{{XLINK_NS}}}href": rec.full_text_url})
-    struct = _mets(mets, "structMap", {"TYPE": "PHYSICAL"})
-    div = _mets(struct, "div", {"TYPE": "article", "DMDID": "DMD1"})
-    if rec.full_text_url:
-        _mets(div, "fptr", {"FILEID": "FILE1"})
-    return _document(mets)
+    source = citation_text(rec.publication, rec.volume, rec.year, rec.pagerange) if rec.publication else ""
+    dc = [("title", rec.title), *(("creator", name.display()) for name in rec.creators)]
+    dc += [(tag, text) for tag, text in (("publisher", rec.publisher), ("date", rec.date), ("source", source)) if text]
+    dc += [("identifier", rec.official_url), *([("language", rec.language)] if rec.language else [])]
+    href = _attr(rec.full_text_url)
+    flocat = [f'        <mets:FLocat LOCTYPE="URL" xlink:href="{href}" />'] if href else []
+    xlink = f' xmlns:xlink="{XLINK_NS}"' if flocat else ""  # ElementTree declares a prefix only where it is used
+    root = f'mets:mets xmlns:dc="{DC_NS}" xmlns:mets="{METS_NS}"{xlink} OBJID="{_attr(rec.record_id)}"'
+    lines = _branch(0, f'{root} LABEL="{_attr(rec.title)}"', [
+        *_branch(1, "mets:metsHdr", _branch(2, 'mets:agent ROLE="CREATOR" TYPE="OTHER" OTHERTYPE="SOFTWARE"',
+                                            ["      <mets:name>mathrepo</mets:name>"])),
+        *_branch(1, 'mets:dmdSec ID="DMD1"', _branch(2, 'mets:mdWrap MDTYPE="DC"', _branch(3, "mets:xmlData", [
+            _leaf(4, f"dc:{tag}", text) for tag, text in dc
+        ]))),
+        *_branch(1, "mets:fileSec", _branch(2, 'mets:fileGrp USE="public"', _branch(
+            3, 'mets:file ID="FILE1" MIMETYPE="application/pdf"', flocat)) if flocat else []),
+        *_branch(1, 'mets:structMap TYPE="PHYSICAL"', _branch(2, 'mets:div TYPE="article" DMDID="DMD1"', [
+            '      <mets:fptr FILEID="FILE1" />',
+        ] if flocat else [])),
+    ])
+    return _finished(lines, f"record {rec.record_id}")
 
 
 def post_package(package: str | bytes, deposit_url: str, timeout: float = 30.0) -> int:

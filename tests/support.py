@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from http.server import HTTPServer
 from pathlib import Path
@@ -17,6 +18,8 @@ from mathrepo import records
 from mathrepo.analytics import MscGraph
 from mathrepo.parsers import Citation, citation_text
 from mathrepo.records import CanonicalRecord, NameParts, RelatedUrl, make_record_id
+from mathrepo.serialize import _EP_TEXT_RUNS, ATOM_NS, DC_NS, EPRINTS_NS, METS_NS, XLINK_NS, _subject_items
+from mathrepo.serialize import AggregatedResource, Aggregation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -166,6 +169,131 @@ def format_citation(c: Citation) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Reference serializers: the exchange formats as an ElementTree renders them, which
+# the text-built writers of mathrepo.serialize must match byte for byte
+
+ET.register_namespace("atom", ATOM_NS)
+ET.register_namespace("mets", METS_NS)
+ET.register_namespace("dc", DC_NS)
+ET.register_namespace("xlink", XLINK_NS)
+
+
+def _et_document(root: ET.Element) -> str:
+    ET.indent(root, space="  ")
+    return '<?xml version="1.0" encoding="utf-8" ?>\n' + ET.tostring(root, encoding="unicode")
+
+
+def _ep(parent: ET.Element, tag: str, text: str | None = None) -> ET.Element:
+    elem = ET.SubElement(parent, tag)
+    elem.text = text
+    return elem
+
+
+def _ep_texts(ep: ET.Element, rec: CanonicalRecord, run) -> None:
+    for tag, name in run:
+        value = getattr(rec, name)
+        if value:
+            _ep(ep, tag, value)
+
+
+def et_eprints_xml(rec: CanonicalRecord) -> str:
+    head, biblio, provenance = _EP_TEXT_RUNS
+    root = ET.Element("eprints")
+    ep = ET.SubElement(root, "eprint", {"xmlns": EPRINTS_NS})
+    _ep(ep, "rev_number", "1")
+    _ep(ep, "eprint_status", "archive")
+    _ep(ep, "userid", "1")
+    _ep(ep, "metadata_visibility", "show")
+    _ep(ep, "type", "article")
+    _ep(ep, "ispublished", "pub")
+    subjects = _subject_items(rec)
+    if subjects:
+        container = _ep(ep, "subjects")
+        for code in subjects:
+            _ep(container, "item", code)
+    _ep(ep, "refereed", "TRUE" if rec.refereed else "FALSE")
+    _ep(ep, "full_text_status", "public")
+    _ep(ep, "date_type", "published")
+    _ep_texts(ep, rec, head)
+    if rec.creators:
+        creators = _ep(ep, "creators_name")
+        for name in rec.creators:
+            item = _ep(creators, "item")
+            _ep(item, "family", name.family)
+            _ep(item, "given", name.given)
+    _ep_texts(ep, rec, biblio)
+    if rec.msc_secondary:
+        msc = _ep(ep, "msc")
+        for code in rec.msc_secondary:
+            _ep(msc, "item", code)
+    if rec.mr_number is not None:
+        _ep(ep, "mr", str(rec.mr_number))
+    if rec.related_urls:
+        related = _ep(ep, "related_url")
+        for ru in rec.related_urls:
+            item = _ep(related, "item")
+            _ep(item, "url", ru.url)
+            _ep(item, "type", ru.type)
+    _ep_texts(ep, rec, provenance)
+    return _et_document(root)
+
+
+def et_ore_atom(agg) -> str:
+    entry = ET.Element(f"{{{ATOM_NS}}}entry")
+    ET.SubElement(entry, f"{{{ATOM_NS}}}id").text = agg.resource_map_uri
+    ET.SubElement(entry, f"{{{ATOM_NS}}}title").text = agg.resource_map_uri
+    ET.SubElement(entry, f"{{{ATOM_NS}}}published").text = agg.created
+    ET.SubElement(entry, f"{{{ATOM_NS}}}updated").text = agg.modified
+    entry.append(ET.Comment(" Aggregated Resources "))
+    for res in agg.aggregated:
+        link = ET.SubElement(entry, f"{{{ATOM_NS}}}link")
+        link.set("href", res.href)
+        link.set("title", res.title)
+        link.set("rel", "http://www.openarchives.org/ore/terms/aggregates")
+    return _et_document(entry)
+
+
+def _mets(parent: ET.Element, tag: str, attrib: dict | None = None) -> ET.Element:
+    return ET.SubElement(parent, f"{{{METS_NS}}}{tag}", attrib or {})
+
+
+def _dc(parent: ET.Element, tag: str, text: str) -> None:
+    ET.SubElement(parent, f"{{{DC_NS}}}{tag}").text = text
+
+
+def et_mets(rec: CanonicalRecord) -> str:
+    mets = ET.Element(f"{{{METS_NS}}}mets", {"OBJID": rec.record_id, "LABEL": rec.title})
+    header = _mets(mets, "metsHdr")
+    agent = _mets(header, "agent", {"ROLE": "CREATOR", "TYPE": "OTHER", "OTHERTYPE": "SOFTWARE"})
+    _mets(agent, "name").text = "mathrepo"
+    dmd = _mets(mets, "dmdSec", {"ID": "DMD1"})
+    wrap = _mets(dmd, "mdWrap", {"MDTYPE": "DC"})
+    xml_data = _mets(wrap, "xmlData")
+    _dc(xml_data, "title", rec.title)
+    for name in rec.creators:
+        _dc(xml_data, "creator", name.display())
+    if rec.publisher:
+        _dc(xml_data, "publisher", rec.publisher)
+    if rec.date:
+        _dc(xml_data, "date", rec.date)
+    if rec.publication:
+        _dc(xml_data, "source", citation_text(rec.publication, rec.volume, rec.year, rec.pagerange))
+    _dc(xml_data, "identifier", rec.official_url)
+    if rec.language:
+        _dc(xml_data, "language", rec.language)
+    file_sec = _mets(mets, "fileSec")
+    if rec.full_text_url:
+        group = _mets(file_sec, "fileGrp", {"USE": "public"})
+        file_elem = _mets(group, "file", {"ID": "FILE1", "MIMETYPE": "application/pdf"})
+        _mets(file_elem, "FLocat", {"LOCTYPE": "URL", f"{{{XLINK_NS}}}href": rec.full_text_url})
+    struct = _mets(mets, "structMap", {"TYPE": "PHYSICAL"})
+    div = _mets(struct, "div", {"TYPE": "article", "DMDID": "DMD1"})
+    if rec.full_text_url:
+        _mets(div, "fptr", {"FILEID": "FILE1"})
+    return _et_document(mets)
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis strategies
 
 def _clean_text(min_size=1, max_size=40):
@@ -247,6 +375,60 @@ def canonical_records(draw):
         related_urls=related,
         refereed=draw(st.booleans()),
         language=draw(st.sampled_from(["", "en", "ja", "fr"])),
+    )
+
+
+# Text that keeps what _clean_text strips, and what an XML writer must escape: tab, LF, CR,
+# surrounding spaces, quotes, & < >, and characters beyond the BMP. Every character is one
+# XML 1.0 can carry.
+_wide_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list(" \t\n\r\"'&<>")),
+        st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="\ufffe\uffff"),
+        st.characters(min_codepoint=0x10000),
+    ),
+    max_size=20,
+)
+
+
+@st.composite
+def wide_records(draw):
+    """Records whose every free-text field, URLs and names included, is ``_wide_text``."""
+    def text():
+        return draw(_wide_text)
+
+    return make_record(
+        source=text(),
+        oai_identifier=text(),
+        title=draw(_wide_text.filter(bool)),
+        official_url=f"http://example.org/{text()}",
+        creators=draw(st.lists(st.builds(NameParts, family=_wide_text, given=_wide_text), max_size=2)),
+        publication=text(),
+        volume=text(),
+        issue=text(),
+        pagerange=text(),
+        date=draw(st.sampled_from(["", "1998", "1998-06", "1998-06-15"])),
+        publisher=text(),
+        full_text_url=text(),
+        msc_primary=draw(st.one_of(st.just(""), msc_codes)),
+        msc_secondary=draw(st.lists(msc_codes, max_size=2)),
+        mr_number=draw(st.one_of(st.none(), st.integers(1, 9_999_999))),
+        related_urls=draw(st.lists(st.builds(RelatedUrl, url=_wide_text, type=_wide_text), max_size=2)),
+        refereed=draw(st.booleans()),
+        language=text(),
+    )
+
+
+@st.composite
+def wide_aggregations(draw):
+    """Aggregations whose resource map URI, stamps, hrefs and titles hold ``_wide_text``."""
+    titles = draw(st.lists(_wide_text, min_size=1, max_size=3))
+    return Aggregation(
+        resource_map_uri=f"http://example.org/ore/{draw(_wide_text)}",
+        aggregated=[AggregatedResource(href=f"http://example.org/{n}/{draw(_wide_text)}", title=title)
+                    for n, title in enumerate(titles)],
+        created=draw(_wide_text),
+        modified=draw(_wide_text),
     )
 
 

@@ -18,7 +18,7 @@ import mathrepo
 from mathrepo import analytics
 from mathrepo.cli import main
 from mathrepo.fixture_server import serve_fixtures
-from mathrepo.records import load_records, store_records
+from mathrepo.records import NameParts, RelatedUrl, load_records, store_records
 
 from support import (
     EUCLID_DC,
@@ -28,6 +28,7 @@ from support import (
     force_fork,
     make_record,
     no_child_left,
+    random_record,
     serve_handler,
     write_dc_fixture_dir,
     write_sidecar,
@@ -874,6 +875,78 @@ class TestEnrichExport:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
 
+class TestExportRefusesTextXmlCannotCarry:
+    @pytest.mark.parametrize("char", ["\ud800", "\x01"], ids=["surrogate", "control"])
+    @pytest.mark.parametrize(
+        "fmt, forked", [("eprints", False), ("mets", False), ("ore", False), ("mets", True)],
+        ids=["eprints", "mets", "ore", "mets-forked"],
+    )
+    def test_record_xml_cannot_carry_stops_export(self, tmp_path, caplog, capsys, monkeypatch, fmt, forked, char):
+        store, config = stage_inputs(tmp_path)
+        line = json.loads(store.read_text(encoding="utf-8").splitlines()[0])
+        line["title"] = f"sur{char}"
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")  # json.dumps writes both as \uXXXX, which the store decodes back
+        if forked:
+            force_fork(monkeypatch, lines_per_process=1)  # lines 1, 2 and 3, the last in a child
+        assert run(config, "export", "--format", fmt, "--name", "sample") == 1
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        named = "resource map 'http://example.org/ore/sample'" if fmt == "ore" else f"record {line['record_id']}"
+        assert error == f"{named} holds {char!r}, which XML cannot carry"
+        assert "Traceback" not in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not list(out.iterdir())
+        no_child_left()
+
+
+# sha256 of each file `export` writes for the seeded store of test_export_output_bytes_are_pinned,
+# computed when each document was an ElementTree indented and rendered by ElementTree itself
+EXPORT_GOLDEN = {
+    "119f8baafa30c798.eprints.xml": "703ca59d286c4ac27a01207ffd502aa928935b564dd73be37ba3ee95e47f4deb",
+    "119f8baafa30c798.mets.xml": "ed6e186aaf59332228b360f444d0ea54e9b4cd3c5740bcd5e46ba8f59a538b15",
+    "26577d3da2921002.eprints.xml": "2612d61d957951d267e62e396ba945c5140c3be01eafb15dbea61c224aa113cd",
+    "26577d3da2921002.mets.xml": "d5d77dd16667ce2e5016bd4c3ac45796bf54de1fff9f761ee31e3818a5418d48",
+    "2c7e77c1aadff13a.eprints.xml": "9a540217d82b6cf1e51a47f8cc326e051fb1edc8f27c2eb55ebebb28913d523f",
+    "2c7e77c1aadff13a.mets.xml": "817418f99feb76750311c9d866164eb533cc2de202bb3fdb6dcfc86145515df7",
+    "39acbfb4b96c3bc2.eprints.xml": "7047f90dc3db56522adf369032c614e76c3921b38a492c60bb46db0d8220a2d4",
+    "39acbfb4b96c3bc2.mets.xml": "0dae1a028361929ac3c0e2a82039ce7944d6b3a360029309678e560ef734d4ba",
+    "47493ec1b0ac3660.eprints.xml": "489674e4c8e01536082988b2be9c82907ade96e40a587edf53e9eb92db8104bf",
+    "47493ec1b0ac3660.mets.xml": "51ca4dfb15450ba7d002c2e0e658daf1f51a6514fae9f4e718a7582080b03adb",
+    "98639c80686dd19a.eprints.xml": "f757d41b0daa68670c09ece898b00fde3b5e8a08429193555198cffd0071a885",
+    "98639c80686dd19a.mets.xml": "8911753ea2287e5bc5a02f725b1b515d2d0fbd9a3e74de68268e5ce5f5479e24",
+    "ca5b6d51d2253189.eprints.xml": "76f5c431e1138e9aac0a37a589e5659ad91e494ce0ae5d8ec82515bac9199c09",
+    "ca5b6d51d2253189.mets.xml": "313774ae68c5b2100261b053c9e26d8e3b53ba32c91311b943c9dd1514ef263a",
+    "cc1cabce6574c945.eprints.xml": "2081ecdeb54f78e4b19f080181ee6db16d6efb22778110b16f85a0cde46b3d81",
+    "cc1cabce6574c945.mets.xml": "b4a9953126eb04b605832d75148f0253c461ad3b1e35b8d781aa215e80553041",
+    "cdb3a40a6f4e2f32.eprints.xml": "7a4b4da7d3b79ff39d51742329c149d194515891ce52c27efca2fa71d757dcd2",
+    "cdb3a40a6f4e2f32.mets.xml": "a4d3c51875fa3bc3d1704f36816c3a3eb0d655de86c57c7cb5a87b82a7391003",
+    "dbd61f7d2afb7008.eprints.xml": "c98072915aae95d150933904ac9b11bfce6a02383bdd97085f1b2e47488e062a",
+    "dbd61f7d2afb7008.mets.xml": "de5fead6593ba3caaae9b936de31a8df0b8bc1e8a6f297833886b1ea9cc4b097",
+    "f768a4fae394a728.eprints.xml": "879ce839f039482e976a9e30644bec99089610f19cea8dabe1e4bdc15806e348",
+    "f768a4fae394a728.mets.xml": "41e342d9bc42b4380c41c9b14321a03d5946c09e8f06e22d88113cb62d774f67",
+    "sample.ore.atom.xml": "a4a970488f5ea9374d022ba63d5c09ecdf91fb71125957b616398812c4673cf6",
+}
+
+
+def test_export_output_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(26)
+    odd = "a & b < c > d \"q\" 'e'\tf\ng\rh \U0001d53d  "  # escaped in text, and more in attributes
+    records = [
+        *(random_record(rng, n) for n in range(10)),
+        make_record(oai_identifier="oai:x:odd", title=odd, official_url="http://example.org/odd?a=1&b=2",
+                    creators=[NameParts(family=odd, given=""), NameParts(family="", given="")],
+                    publication=odd, volume="3", date="2001-02", publisher=odd, full_text_url=f"http://x/{odd}",
+                    msc_primary="53A35", msc_secondary=["20C25", "53"],
+                    related_urls=[RelatedUrl(url=odd, type=""), RelatedUrl(url="", type=odd)], language=odd),
+    ]
+    store_records(records, tmp_path / "records.jsonl")
+    config = write_config(tmp_path, endpoints=[])
+    for fmt in ("eprints", "mets", "ore"):
+        assert run(config, "export", "--format", fmt, "--name", "sample") == 0
+    out = sorted((tmp_path / "out").iterdir())
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out} == EXPORT_GOLDEN
+
+
 FIELDS = ["05", "11", "14", "20", "32", "35", "53", "57", "60", "68", "81", "94"]
 
 # sha256 of each file `hits` writes for the seeded store of
@@ -1199,6 +1272,27 @@ def _probe(code: str) -> str:
 def test_import_does_not_load(module):
     # HTTP goes through urllib, and only `hits` computes with numpy
     assert _probe(f"import sys, mathrepo, mathrepo.cli; print({module!r} in sys.modules)") == "False"
+
+
+def test_spooled_payload_keeps_its_prefixes_without_the_serializers():
+    # a spool's bytes must not depend on whether this process has also loaded mathrepo.serialize
+    payload = (
+        '<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/oai_dc/" xmlns:mets="http://www.loc.gov/METS/"'
+        ' xmlns:xlink="http://www.w3.org/1999/xlink"><mets:FLocat xlink:href="http://example.org/a.pdf" /></oai_dc:dc>'
+    )
+    envelope = dc_envelope(
+        "<record><header><identifier>oai:x:1</identifier><datestamp>2009-02-01</datestamp></header>"
+        f"<metadata>{payload}</metadata></record>"
+    )
+    probe = (
+        "import sys\n"
+        "from mathrepo.oai_client import parse_oai_envelope, serialize_envelope\n"
+        f"print(serialize_envelope(parse_oai_envelope({envelope!r})))\n"
+        "print('mathrepo.serialize' in sys.modules)\n"
+    )
+    spooled, serializers_loaded = _probe(probe).splitlines()
+    assert serializers_loaded == "False"
+    assert '<mets:FLocat xlink:href="http://example.org/a.pdf" />' in spooled
 
 
 def test_only_hits_loads_numpy(tmp_path):

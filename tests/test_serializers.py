@@ -1,5 +1,6 @@
 """EPrints XML, ORE Atom, and METS serializer contracts."""
 
+import re
 import xml.etree.ElementTree as ET
 from http.server import BaseHTTPRequestHandler
 
@@ -20,7 +21,17 @@ from mathrepo.serialize import (
 )
 from mathrepo.xmlutil import local_name
 
-from support import EPRINTS_ARTICLE, canonical_records, make_record, serve_handler
+from support import (
+    EPRINTS_ARTICLE,
+    canonical_records,
+    et_eprints_xml,
+    et_mets,
+    et_ore_atom,
+    make_record,
+    serve_handler,
+    wide_aggregations,
+    wide_records,
+)
 
 
 def horie_record():
@@ -278,6 +289,58 @@ class TestMets:
     def test_deterministic_output(self):
         rec = self.maeda_record()
         assert to_mets(rec) == to_mets(rec)
+
+
+def _one_resource(rec):
+    return Aggregation(
+        resource_map_uri="http://example.org/ore/one",
+        aggregated=(AggregatedResource(href=rec.official_url, title=rec.title),),
+    )
+
+
+WRITERS = {
+    "eprints": (to_eprints_xml, et_eprints_xml),
+    "mets": (to_mets, et_mets),
+    "ore": (lambda rec: to_ore_atom(_one_resource(rec)), lambda rec: et_ore_atom(_one_resource(rec))),
+}
+
+
+class TestElementTreeBytes:
+    """Each writer gives the bytes ElementTree gives for the same document (support's reference writers)."""
+
+    @given(canonical_records())
+    @settings(max_examples=150)
+    def test_canonical_records(self, rec):
+        for write, reference in WRITERS.values():
+            assert write(rec) == reference(rec)
+
+    @given(wide_records())
+    @settings(max_examples=150)
+    def test_text_that_needs_escaping(self, rec):
+        for write, reference in WRITERS.values():
+            assert write(rec) == reference(rec)
+
+    @given(wide_aggregations())
+    @settings(max_examples=100)
+    def test_ore_attributes_that_need_escaping(self, agg):
+        assert to_ore_atom(agg) == et_ore_atom(agg)
+
+    @pytest.mark.parametrize("fmt", WRITERS)
+    def test_refuses_exactly_what_xml_cannot_carry(self, fmt):
+        # the ElementTree reference writes any character; expat then says whether XML can carry it
+        write, reference = WRITERS[fmt]
+        codes = [*range(0x20), 0x7F, 0x85, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFD, 0xFFFE,
+                 0xFFFF, 0x10000, 0x10FFFF]
+        for code in codes:
+            rec = make_record(title=f"a{chr(code)}b")
+            document = reference(rec)
+            try:
+                ET.fromstring(document.encode("utf-8"))
+            except (ET.ParseError, UnicodeEncodeError):
+                with pytest.raises(SerializationError, match=re.escape(f"holds {chr(code)!r}")):
+                    write(rec)
+            else:
+                assert write(rec) == document
 
 
 class TestDeposit:
