@@ -406,21 +406,16 @@ def _mapped(path, lines: list[str], first_lineno: int, project) -> list:
 
 
 def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[int, int]:
-    """Start a child that sends down a pipe the pickled rows of ``lines``, or the exception
-    that projecting them raised; returns its pid and the read end."""
+    """Start a child that sends down a pipe the pickled rows of ``lines``, or nothing if
+    projecting or pickling them fails; returns its pid and the read end."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:  # never return into the caller's stack, nor flush buffers inherited from it
             os.close(read_fd)
-            try:
-                reply = _mapped(path, lines, first_lineno, project)
-            except Exception as exc:
-                reply = exc
-            data = pickle.dumps(reply)  # an unpicklable reply ends the child without one
             with open(write_fd, "wb") as pipe:
-                pipe.write(data)
+                pipe.write(pickle.dumps(_mapped(path, lines, first_lineno, project)))
             code = 0
         finally:
             os._exit(code)
@@ -445,9 +440,9 @@ def map_store(path, project: Callable[[CanonicalRecord], object]) -> dict:
 
     The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
     lines; this process projects the first chunk and a forked child each of the others,
-    so only ``(record_id, value)`` rows, whose values must pickle, cross between processes.
-    A chunk fails alike in either process: the first exception in line order is raised
-    once every child is reaped.
+    so only pickled ``(record_id, value)`` rows cross between processes. A chunk whose
+    child sends back nothing readable is projected again in this process, so the result,
+    or the first exception in line order, is the one a decode in one process gives.
     """
     return _map_lines(path, _split_lines(path, Path(path).read_bytes()), project)
 
@@ -455,22 +450,20 @@ def map_store(path, project: Callable[[CanonicalRecord], object]) -> dict:
 def _map_lines(path, lines: list[str], project) -> dict:
     """``map_store`` of the store ``path`` whose lines are ``lines``."""
     chunks = max(1, min(_cpu_count(), len(lines) // _LINES_PER_PROCESS)) if hasattr(os, "fork") else 1
-    bounds = [len(lines) * i // chunks for i in range(chunks + 1)]
+    spans = [(len(lines) * i // chunks, len(lines) * (i + 1) // chunks) for i in range(chunks)]
     children = []
     try:
-        for start, stop in zip(bounds[1:], bounds[2:]):
+        for start, stop in spans[1:]:
             children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
-        rows = _mapped(path, lines[:bounds[1]], 1, project)
+        rows = _mapped(path, lines[:spans[0][1]], 1, project)
     finally:
         replies = [_reply(pid, read_fd) for pid, read_fd in children]
-    for reply in replies:  # in line order, so the first failure is the one raised
+    for (start, stop), reply in zip(spans[1:], replies):  # in line order, so the first failure is the one raised
         try:
-            value = pickle.loads(reply)
-        except Exception:  # b"", or a value that cannot be rebuilt: nothing readable came back
-            raise StoreError(f"{path}: a decoder process ended without a result") from None
-        if isinstance(value, Exception):
-            raise value
-        rows += value
+            rows += pickle.loads(reply)
+        except Exception:  # b"", or rows that cannot be rebuilt: nothing readable came back
+            log.debug("%s: lines %d-%d decoded again in this process", path, start + 1, stop)
+            rows += _mapped(path, lines[start:stop], start + 1, project)
     return dict(rows)
 
 
@@ -530,7 +523,7 @@ def load_classifications(path) -> list[Classification]:
 def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, stripped cells)`` per row of a UTF-8 tab-separated table, skipping empty and "#" rows."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
                 if not row or row[0].startswith("#"):
                     continue

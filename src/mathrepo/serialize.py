@@ -90,7 +90,8 @@ def to_eprints_xml(rec: CanonicalRecord) -> str:
     Emits the platform boilerplate plus the bibliographic and enrichment
     elements; fields absent from the record are omitted. Provenance fields
     (source, oai_identifier, full_text_url, language) ride along as custom
-    elements so the document round-trips.
+    elements, so ``from_eprints_xml`` gives back an equal record when no text
+    field has surrounding whitespace or a CR.
     """
     head, biblio, provenance = (
         [_leaf(2, tag, value) for tag, name in run if (value := getattr(rec, name))] for run in _EP_TEXT_RUNS
@@ -128,7 +129,8 @@ def from_eprints_xml(data) -> CanonicalRecord:
 
     The document is an ``eprint`` element or a root (``eprints``) whose
     child it is. Platform boilerplate and the derived subjects block are
-    ignored; missing provenance elements default to empty strings.
+    ignored; missing provenance elements default to empty strings. Element
+    text is stripped, and an XML reader has already read each CR as LF.
     """
     root = parse_xml(data, SerializationError, "EPrints XML")
     ep = root if local_name(root.tag) == "eprint" else first_child(root, "eprint")

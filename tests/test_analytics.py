@@ -107,6 +107,13 @@ class TestShareTable:
         path.write_text("# field\tcount\n57\t18103\n32\t18506\n", encoding="utf-8")
         assert load_totals(path) == {"57": 18103, "32": 18506}
 
+    @pytest.mark.parametrize("text", ["# msc2\tcount\n53\t100\n", "53\t100\n"], ids=["comment-first", "data-first"])
+    def test_load_totals_skips_a_byte_order_mark(self, tmp_path, text):
+        path = tmp_path / "totals.tsv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_totals(path) == {"53": 100}
+
     @pytest.mark.parametrize(
         "text, error",
         [

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from http.server import BaseHTTPRequestHandler
@@ -474,8 +475,8 @@ class TestFailedStoreWrite:
     @pytest.mark.parametrize("where", ["everywhere", "in-a-child"])
     @pytest.mark.parametrize("stage", ["transform", "enrich"])
     def test_failed_encode_in_forked_rewrite_exits_one(self, tmp_path, monkeypatch, caplog, stage, where):
-        store, config = stage_inputs(tmp_path)
-        before = store.read_bytes()
+        """Where this process fails the encode too: a failure in a child alone costs a decode of
+        its chunk here. Either way the exit code, log and store are the in-process ones."""
         parent, real = os.getpid(), mathrepo.records._to_line
 
         def full_disk(rec):
@@ -483,13 +484,27 @@ class TestFailedStoreWrite:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real(rec)
 
-        force_fork(monkeypatch, lines_per_process=1)  # lines 1, 2 and 3, the last two in children
-        monkeypatch.setattr("mathrepo.records._to_line", full_disk)
-        assert run(config, stage) == 1
-        monkeypatch.undo()
-        assert f"cannot write store {store}: [Errno {errno.ENOSPC}]" in caplog.text
-        assert store.read_bytes() == before
-        assert not (tmp_path / "records.jsonl.tmp").exists()
+        outcomes = []
+        for forked in (False, True):
+            directory = tmp_path / ("forked" if forked else "in-process")
+            directory.mkdir()
+            store, config = stage_inputs(directory)
+            before = store.read_bytes()
+            with monkeypatch.context() as m:
+                if forked:
+                    force_fork(m, lines_per_process=1)  # lines 1, 2 and 3, the last two in children
+                m.setattr("mathrepo.records._to_line", full_disk)
+                caplog.clear()
+                code = run(config, stage)
+            assert not (directory / "records.jsonl.tmp").exists()
+            outcomes.append((code, caplog.text.replace(str(directory), "<dir>"), store.read_bytes()))
+        assert outcomes[1] == outcomes[0]
+        code, text, after = outcomes[0]
+        if where == "everywhere":
+            assert (code, after) == (1, before)
+            assert f"cannot write store <dir>/records.jsonl: [Errno {errno.ENOSPC}]" in text
+        else:
+            assert (code, text) == (0, "")
         no_child_left()
 
 
@@ -553,6 +568,114 @@ class TestStoreRewrite:
         assert stored["oai:x:18"].mr_number == 1018
         assert store.endswith(b"\n") and store.count(b"\n") == 40
         no_child_left()
+
+    def test_killed_decoder_child_costs_a_decode_in_this_process(self, tmp_path, monkeypatch, capsys):
+        config = rewrite_inputs(tmp_path)
+        force_fork(monkeypatch, cpus=3, lines_per_process=10)  # lines 1-14, 15-29 and 30-44
+        parent, real = os.getpid(), mathrepo.records._from_json
+
+        def killed(data):  # record 20, on line 22, in the middle chunk
+            if os.getpid() != parent and data["oai_identifier"] == "oai:x:20":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(data)
+
+        monkeypatch.setattr("mathrepo.records._from_json", killed)
+        for stage in ("transform", "enrich"):
+            assert run(config, stage) == 0
+            store = (tmp_path / "records.jsonl").read_bytes()
+            assert (capsys.readouterr().out, hashlib.sha256(store).hexdigest()) == REWRITE_GOLDEN[stage]
+        no_child_left()
+
+
+# Runs one stage with argv ``config stage target point`` and SIGKILLs it while it writes ``target``:
+# halfway through the first chunk of its tmp file, just before that file replaces ``target``, or just after.
+KILLED_WRITE = """
+import os, signal, sys
+from mathrepo import records
+from mathrepo.cli import main
+
+config, stage, target, point = sys.argv[1:]
+real_replace = os.replace
+
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class HalfWritten:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        first = next(iter(chunks))
+        self.fh.write(first[:len(first) // 2])
+        self.fh.flush()
+        die()
+
+
+def dying_open(file, *args, **kwargs):
+    fh = open(file, *args, **kwargs)
+    return HalfWritten(fh) if point == "mid-write" and str(file) == target + ".tmp" else fh
+
+
+def dying_replace(src, dst):
+    if point == "before-replace" and str(dst) == target:
+        die()
+    real_replace(src, dst)
+    if point == "after-replace" and str(dst) == target:
+        die()
+
+
+records.open = dying_open  # replace_file's open, not the builtin
+os.replace = dying_replace
+sys.exit(main(["--config", config, stage]))
+"""
+
+
+class TestKilledWrite:
+    """A stage killed while it writes the store or a spool leaves that file as it was or as a
+    clean run writes it, and a rerun writes the clean run's bytes and leaves no tmp file."""
+
+    @pytest.fixture
+    def endpoint(self, tmp_path):
+        write_dc_fixture_dir(tmp_path / "fixtures", count=5)
+        server = serve_fixtures(tmp_path / "fixtures", page_size=2)
+        yield {"name": "src", "base_url": server.base_url, "metadata_prefix": "oai_dc"}
+        server.close()
+
+    @staticmethod
+    def inputs(directory, stage, endpoint) -> tuple[Path, Path]:
+        """The settings file and the file ``stage`` writes, for inputs made afresh in ``directory``."""
+        directory.mkdir()
+        if stage != "harvest":
+            return rewrite_inputs(directory), directory / "records.jsonl"
+        (directory / "spool").mkdir()
+        spool = directory / "spool" / "src.xml"
+        spool.write_text(dc_envelope(dc_record_xml("oai:x:old")), encoding="utf-8")
+        return write_config(directory, endpoints=[endpoint]), spool
+
+    @pytest.mark.parametrize("point", ["mid-write", "before-replace", "after-replace"])
+    @pytest.mark.parametrize("stage", ["harvest", "transform", "enrich"])
+    def test_killed_write_leaves_the_old_or_the_new_file(self, tmp_path, endpoint, stage, point):
+        config, target = self.inputs(tmp_path / "clean", stage, endpoint)
+        before = target.read_bytes()
+        assert run(config, stage) == 0
+        clean = target.read_bytes()
+        assert clean != before
+        config, target = self.inputs(tmp_path / "killed", stage, endpoint)
+        killed = _python(KILLED_WRITE, str(config), stage, str(target), point, check=False)
+        assert killed.returncode == -signal.SIGKILL
+        assert target.read_bytes() == (clean if point == "after-replace" else before)
+        assert Path(f"{target}.tmp").exists() == (point != "after-replace")
+        assert run(config, stage) == 0
+        assert target.read_bytes() == clean
+        assert not Path(f"{target}.tmp").exists()
 
 
 GOOD_ENDPOINT = {"name": "src", "base_url": "http://127.0.0.1:9/oai", "metadata_prefix": "oai_dc"}
@@ -1255,17 +1378,21 @@ class TestCollectorPause:
         no_child_left()
 
 
-def _probe(code: str) -> str:
+def _python(code: str, *argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a new interpreter that imports this ``mathrepo``."""
     src = str(Path(mathrepo.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
         timeout=60,
     )
-    return result.stdout.strip()
+
+
+def _probe(code: str) -> str:
+    return _python(code).stdout.strip()
 
 
 @pytest.mark.parametrize("module", ["requests", "numpy"])

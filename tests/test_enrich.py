@@ -143,6 +143,14 @@ class TestLoadMrTable:
         with pytest.raises(MrTableError, match="'j example|1|1998|43' on lines 1 and 2"):
             load_mr_table(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_mr_table(path) == maeda_table(tmp_path)
+        (rec,), report = enrich([maeda_record()], load_mr_table(path))
+        assert (rec.mr_number, report.matched) == (1710269, 1)
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text(

@@ -4,10 +4,12 @@ import dataclasses
 import errno
 import hashlib
 import json
+import logging
 import os
 import re
 import signal
 import urllib.parse
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -642,9 +644,23 @@ class TestLoadClassifications:
          for suffix, load in (("", load_classifications), ("-rewrite", rewrite_lines)) for death in ("exit", "kill")],
     )
     def test_child_that_sends_nothing_is_an_error(self, tmp_path, monkeypatch, death, load):
-        path = tmp_path / "store.jsonl"
+        """Only where a one-process decode of its chunk is one: that chunk is decoded again in
+        this process, which returns, or raises, what a one-process decode does."""
+        path, broken = tmp_path / "store.jsonl", tmp_path / "broken.jsonl"
         thirty_line_store(path)
+        thirty_line_store(broken)
+        replace_lines(broken, {25: b'{"record_id": "broken"'})
+
+        def outcome():
+            Path(f"{path}.classifications").unlink(missing_ok=True)  # so the store is decoded each time
+            with pytest.raises(StoreError) as failed:
+                load(broken)
+            return load(path), str(failed.value)
+
+        expected = outcome()
+        assert expected[1].startswith(f"{broken}:25: ")
         force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
         parent, real = os.getpid(), records._mapped
 
         def dying(*args):
@@ -655,8 +671,8 @@ class TestLoadClassifications:
             return real(*args)
 
         monkeypatch.setattr(records, "_mapped", dying)
-        with pytest.raises(StoreError, match="ended without a result"):
-            load(path)
+        assert outcome() == expected
+        assert len(forks) == 4
         no_child_left()
 
     def test_children_are_reaped_when_the_parent_chunk_raises(self, tmp_path, monkeypatch):
@@ -766,16 +782,20 @@ class TestMapStore:
     def test_projection_error_in_a_child_is_raised_from_map_store(self, tmp_path, monkeypatch):
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
-        force_fork(monkeypatch)
-        parent = os.getpid()
 
-        def render(rec):
-            if os.getpid() != parent:  # both children raise; lines 11-20 come first
+        def render(rec):  # raises on lines 11-31, both children's chunks; line 11 comes first
+            if int(rec.oai_identifier.rpartition("/")[2]) >= 10:
                 raise ValueError(f"cannot render {rec.oai_identifier}")
             return rec.title
 
-        with pytest.raises(ValueError, match="^cannot render oai:example.org:cls/10$"):
+        with pytest.raises(ValueError, match="^cannot render oai:example.org:cls/10$") as serial:
             records.map_store(path, render)
+        force_fork(monkeypatch)
+        forks = counted_forks(monkeypatch)
+        with pytest.raises(ValueError) as forked:
+            records.map_store(path, render)
+        assert str(forked.value) == str(serial.value)
+        assert len(forks) == 2
         no_child_left()
 
     def test_named_tuple_values_come_back_from_children(self, tmp_path, monkeypatch):
@@ -816,22 +836,36 @@ class TestMapStore:
         no_child_left()
 
     @pytest.mark.parametrize("reply", ["unpicklable-value", "unpicklable-error", "error-not-rebuilt"])
-    def test_child_reply_that_cannot_be_read_is_an_error(self, tmp_path, monkeypatch, reply):
+    def test_child_reply_that_cannot_be_read_is_an_error(self, tmp_path, monkeypatch, caplog, reply):
+        """Only where a one-process decode of its chunk is one: values or errors that do not
+        pickle, or do not unpickle, come from a forked decode as from a one-process one."""
         path = tmp_path / "store.jsonl"
         thirty_line_store(path)
+        marker = lambda: None  # noqa: E731; a lambda does not pickle
+
+        def project(rec):  # lines 11-20 give values that do not pickle; line 26 raises, if any does
+            if reply == "unpicklable-value" or int(rec.oai_identifier.rpartition("/")[2]) < 25:
+                return rec.title, marker
+            if reply == "unpicklable-error":
+                raise ValueError(marker)
+            raise RebuildError(rec.oai_identifier, "not rendered")
+
+        def outcome():
+            try:
+                return records.map_store(path, project)
+            except (ValueError, RebuildError) as exc:
+                return type(exc), exc.args
+
+        expected = outcome()
         force_fork(monkeypatch)
-        parent = os.getpid()
-
-        def project(rec):
-            if os.getpid() != parent:
-                if reply == "unpicklable-value":
-                    return lambda: None
-                if reply == "unpicklable-error":
-                    raise ValueError(lambda: None)
-                raise RebuildError(rec.oai_identifier, "not rendered")
-            return rec.title
-
-        with pytest.raises(StoreError) as failed:
-            records.map_store(path, project)
-        assert str(failed.value) == f"{path}: a decoder process ended without a result"
+        with caplog.at_level(logging.DEBUG, logger="mathrepo.records"):
+            assert outcome() == expected
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: lines 11-20 decoded again in this process", f"{path}: lines 21-31 decoded again in this process",
+        ]
+        assert expected == {
+            "unpicklable-value": {r.record_id: (r.title, marker) for r in load_records(path)},
+            "unpicklable-error": (ValueError, (marker,)),
+            "error-not-rebuilt": (RebuildError, ("oai:example.org:cls/25: not rendered",)),
+        }[reply]
         no_child_left()

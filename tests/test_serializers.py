@@ -131,6 +131,12 @@ class TestEprintsEmitter:
         rec = horie_record()
         assert from_eprints_xml(to_eprints_xml(rec)) == rec
 
+    @pytest.mark.parametrize(
+        "title, read_back", [(" a ", "a"), ("a\rb", "a\nb"), ("a\r\nb", "a\nb")], ids=["spaces", "cr", "crlf"]
+    )
+    def test_surrounding_whitespace_and_cr_do_not_round_trip(self, title, read_back):
+        assert from_eprints_xml(to_eprints_xml(make_record(title=title))) == make_record(title=read_back)
+
     def test_deterministic_output(self):
         rec = horie_record()
         assert to_eprints_xml(rec) == to_eprints_xml(rec)
@@ -285,6 +291,12 @@ class TestMets:
     def test_well_formed_for_random_records(self, rec):
         ET.fromstring(to_mets(rec))
         ET.fromstring(to_eprints_xml(rec))
+
+    @pytest.mark.parametrize(
+        "title, read_back", [(" a ", "a"), ("a\rb", "a\nb"), ("a\r\nb", "a\nb")], ids=["spaces", "cr", "crlf"]
+    )
+    def test_surrounding_whitespace_and_cr_do_not_round_trip(self, title, read_back):
+        assert from_eprints_xml(to_eprints_xml(make_record(title=title))) == make_record(title=read_back)
 
     def test_deterministic_output(self):
         rec = self.maeda_record()
