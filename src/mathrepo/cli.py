@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import logging
 import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analytics
-from .enrich import EnrichReport, enrich_record, load_mr_table
+from .enrich import EnrichReport, enrich_record, load_mr_table, read_stamp, stamp_key, write_stamp
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .msc import is_msc_code
@@ -41,6 +43,7 @@ EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 
 DEFAULT_CONFIG = "mathrepo.json"
+_RECORD_ID_RE = re.compile(r"[0-9a-f]{16}")  # as make_record_id gives it
 _MAX_DELAY_S = 86400.0  # a day; time.sleep overflows long before inf, near 9.2e9 s
 
 
@@ -154,12 +157,30 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return config
 
 
-def _write_store(lines: dict[str, str], config: PipelineConfig) -> int:
-    """Write each record's store line, given by record_id; returns the count written."""
+def _line_and_outcome(table: dict | None, path):
+    """The projection of a record to its line in the store ``path`` and its outcome, as
+    ``enrich_record`` gives them with ``table``; with no table, the record's own line and None."""
+
+    def project(rec):
+        outcome = None
+        if table is not None:
+            rec, outcome = enrich_record(rec, table)
+        return store_line(rec, path), outcome
+
+    return project
+
+
+def _write_store(rows: dict[str, tuple[str, str | None]], config: PipelineConfig, table: bytes | None) -> EnrichReport:
+    """Write each record's store line, given by record_id with its outcome, then, where ``table``
+    holds the bytes of the table every line was enriched with, the store's stamp; returns the
+    count of each outcome."""
     # Sorted by record_id so reruns produce byte-identical stores.
     Path(config.store).parent.mkdir(parents=True, exist_ok=True)
-    store_lines((lines[record_id] for record_id in sorted(lines)), config.store)
-    return len(lines)
+    written = store_lines((rows[record_id][0] for record_id in sorted(rows)), config.store)
+    report = EnrichReport.of(outcome for _, outcome in rows.values())
+    if table is not None:
+        write_stamp(config.store, stamp_key(table, written), report)
+    return report
 
 
 def cmd_harvest(args, config: PipelineConfig) -> int:
@@ -181,7 +202,7 @@ def cmd_harvest(args, config: PipelineConfig) -> int:
         transport = HttpTransport(delay=args.delay)
         try:
             records = list_records(endpoint, transport)
-            replace_file(spool / f"{endpoint.name}.xml", [serialize_envelope(records)])
+            replace_file(spool / f"{endpoint.name}.xml", [serialize_envelope(records).encode("utf-8")])
         except (MathRepoError, OSError, UnicodeError) as exc:
             failures += 1
             log.error("endpoint %s failed: %s", endpoint.name, exc)
@@ -197,9 +218,13 @@ def cmd_transform(args, config: PipelineConfig) -> int:
     if not envelopes:
         log.error("spool directory %s has no envelopes; run harvest first", spool)
         return EXIT_PARTIAL
+    table = mr_table = None
+    if config.mr_table:  # every line is written enriched, so the store keeps what enrich added
+        table, mr_table = Path(config.mr_table).read_bytes(), load_mr_table(config.mr_table)
+    project = _line_and_outcome(mr_table, config.store)
     merged = {}  # the one stage that may run without a store: its first run creates it
     if Path(config.store).exists():  # a valid line not in the store's own form is written back in it
-        merged = map_store(config.store, lambda rec: store_line(rec, config.store))
+        merged = map_store(config.store, project)
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
@@ -213,26 +238,36 @@ def cmd_transform(args, config: PipelineConfig) -> int:
                 failed += 1
                 log.warning("cannot canonicalize %s: %s", oai_rec.identifier, exc)
                 continue
-            merged[rec.record_id] = store_line(rec, config.store)
+            merged[rec.record_id] = project(rec)
             parsed += 1
-    count = _write_store(merged, config)
-    print(f"transform: {parsed} parsed, {failed} failed, store has {count} records")
+    _write_store(merged, config, table)
+    print(f"transform: {parsed} parsed, {failed} failed, store has {len(merged)} records")
     return EXIT_OK
 
 
 def cmd_enrich(args, config: PipelineConfig) -> int:
     if not config.mr_table:
         raise UsageError("no lookup table configured; pass --mr-table or set mr_table in the config")
-    table = load_mr_table(config.mr_table)
-
-    def enriched_line(rec):
-        rec, outcome = enrich_record(rec, table)
-        return store_line(rec, config.store), outcome
-
-    rows = map_store(config.store, enriched_line)
-    _write_store({record_id: line for record_id, (line, _) in rows.items()}, config)
-    print(f"enrich: {EnrichReport.of(outcome for _, outcome in rows.values()).summary()}")
+    table = Path(config.mr_table).read_bytes()
+    try:
+        data = Path(config.store).read_bytes()
+    except OSError:  # raised again by map_store's read, after the table's own errors
+        data = None
+    report = None if data is None else read_stamp(config.store, stamp_key(table, hashlib.sha256(data).digest()))
+    if report is None:  # a store its stamp does not vouch for is enriched in full
+        rows = map_store(config.store, _line_and_outcome(load_mr_table(config.mr_table), config.store), data)
+        report = _write_store(rows, config, table)
+    print(f"enrich: {report.summary()}")
     return EXIT_OK
+
+
+def _remove_left_documents(out: Path, fmt: str, record_ids) -> None:
+    """Delete each ``<record_id>.<fmt>.xml`` in ``out`` whose record_id is not in ``record_ids``:
+    the document export wrote for a record that has since left the store."""
+    for path in out.glob(f"*.{fmt}.xml"):
+        record_id = path.name[:-len(f".{fmt}.xml")]
+        if _RECORD_ID_RE.fullmatch(record_id) and record_id not in record_ids:
+            path.unlink()
 
 
 def cmd_export(args, config: PipelineConfig) -> int:
@@ -251,17 +286,20 @@ def cmd_export(args, config: PipelineConfig) -> int:
         # resolved here, not in a module-level table, so a name patched in this module takes effect
         project = to_eprints_xml if args.format == "eprints" else to_mets
     rows = sorted(map_store(config.store, project).items())  # record_ids are unique
+    out = Path(config.output_dir)
     if not rows:
         log.warning("store is empty; nothing to export")
+        if args.format != "ore":
+            _remove_left_documents(out, args.format, set())
         print("export: 0 documents")
         return EXIT_OK
-    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format != "ore":
         for record_id, document in rows:
             (out / f"{record_id}.{args.format}.xml").write_text(document, encoding="utf-8")
             if args.deposit_url:
                 post_package(document, args.deposit_url)
+        _remove_left_documents(out, args.format, {record_id for record_id, _ in rows})
         suffix = f", {len(rows)} deposited" if args.deposit_url else ""
         print(f"export: {len(rows)} documents{suffix}")
     else:

@@ -8,21 +8,28 @@ page, and carries its review number plus primary/secondary classification.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import re
 import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import MathRepoError
 from .msc import is_msc_code
-from .records import CanonicalRecord, RelatedUrl, read_table
+from .records import _DECODER_SHA256, CanonicalRecord, RelatedUrl, read_keyed, read_table, write_keyed
 
 REVIEW_URL_PREFIX = "http://www.ams.org/mathscinet-getitem?mr="
 
 _PUNCT_TO_SPACE = {ord(ch): " " for ch in string.punctuation}
 _SPAGE_RE = re.compile(r"\d+")
+
+# the source of the code that decodes, enriches and encodes a store line, hashed
+_ENRICHER_SHA256 = _DECODER_SHA256.copy()
+_ENRICHER_SHA256.update(Path(__file__).read_bytes())
 
 
 class MrTableError(MathRepoError):
@@ -130,6 +137,35 @@ class EnrichReport:
 
     def summary(self) -> str:
         return f"{self.matched} matched, {self.unmatched} unmatched, {self.skipped} skipped"
+
+
+def stamp_key(table: bytes, store_sha256: bytes):
+    """The key of the stamp of a store whose bytes have the sha256 digest ``store_sha256``,
+    enriched with the table whose bytes are ``table``: a sha256 of the enricher's source, the
+    table's sha256 digest and the store's."""
+    digest = _ENRICHER_SHA256.copy()
+    digest.update(hashlib.sha256(table).digest())
+    digest.update(store_sha256)
+    return digest
+
+
+def read_stamp(path, key) -> EnrichReport | None:
+    """The counts that the stamp of the store ``path`` holds under ``key``: those of a full
+    enrich of that store, which would write it unchanged. None if the stamp is missing, has
+    another key or does not hold three integer counts."""
+    text = read_keyed(f"{path}.stamp", key)
+    if text is None:
+        return None
+    try:
+        report = EnrichReport(**json.loads(text))
+    except (ValueError, TypeError, RecursionError):  # not JSON, or not an object of the three counts
+        return None
+    return report if {type(count) for count in vars(report).values()} == {int} else None
+
+
+def write_stamp(path, key, report: EnrichReport) -> None:
+    """Keep ``report`` in the stamp of the store ``path``, under ``key``, for ``read_stamp``."""
+    write_keyed(f"{path}.stamp", key, json.dumps(vars(report)).encode())
 
 
 def _apply_entry(rec: CanonicalRecord, entry: MrEntry) -> CanonicalRecord:

@@ -328,26 +328,37 @@ def store_line(rec: CanonicalRecord, path) -> str:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
 
 
-def replace_file(path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` as UTF-8 to ``<path>.tmp``, which then replaces ``path``, so a failed
-    or killed write leaves the old file whole (no fsync: not a power cut); the tmp file is
-    gone afterwards whether or not the write failed."""
+def replace_file(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``<path>.tmp``, which then replaces ``path``, so a failed or killed
+    write leaves the old file whole (no fsync: not a power cut); the tmp file is gone
+    afterwards whether or not the write failed."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already once it has replaced the file
 
 
-def store_lines(lines: Iterable[str], path) -> None:
-    """Write store lines to ``path`` through ``replace_file``; a failed write is a
-    ``StoreError``, and so is one of ``lines`` that could not be encoded."""
+def store_lines(lines: Iterable[str], path) -> bytes:
+    """Write store lines as UTF-8 to ``path`` through ``replace_file``, encoding 256 at a time so
+    that no copy of the whole store is held; returns the sha256 digest of the bytes written. A
+    failed write is a ``StoreError``, and so is one of ``lines`` that could not be encoded."""
+    digest = hashlib.sha256()
+
+    def encoded():
+        pending = iter(lines)
+        while batch := list(itertools.islice(pending, 256)):
+            data = "\n".join([*batch, ""]).encode("utf-8")
+            digest.update(data)
+            yield data
+
     try:
-        replace_file(path, (line + "\n" for line in lines))
+        replace_file(path, encoded())
     except (OSError, UnicodeError) as exc:
         raise StoreError(f"cannot write store {path}: {exc}") from exc
+    return digest.digest()
 
 
 def store_records(records: Iterable[CanonicalRecord], path) -> int:
@@ -405,11 +416,21 @@ def _mapped(path, lines: list[str], first_lineno: int, project) -> list:
     return rows
 
 
-def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[int, int]:
+def _fork_mapper(path, lines: list[str], first_lineno: int, project) -> tuple[int, int] | None:
     """Start a child that sends down a pipe the pickled rows of ``lines``, or nothing if
-    projecting or pickling them fails; returns its pid and the read end."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    projecting or pickling them fails; returns its pid and the read end, or None if no child
+    could be started."""
+    try:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError as exc:  # such as EAGAIN or EMFILE: the chunk is decoded in this process
+        log.debug("%s: no decoder process: %s", path, exc)
+        return None
     if pid == 0:
         code = 1
         try:  # never return into the caller's stack, nor flush buffers inherited from it
@@ -434,17 +455,19 @@ def _reply(pid: int, read_fd: int) -> bytes:
     return data if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 else b""
 
 
-def map_store(path, project: Callable[[CanonicalRecord], object]) -> dict:
-    """``{record_id: project(rec)}`` of each record in a store, later lines winning. A malformed
-    line is a ``StoreError`` naming the file and line number; bytes not UTF-8, one naming the file.
+def map_store(path, project: Callable[[CanonicalRecord], object], data: bytes | None = None) -> dict:
+    """``{record_id: project(rec)}`` of each record in a store, later lines winning; ``data`` is
+    the store's bytes where the caller has read them already. A malformed line is a
+    ``StoreError`` naming the file and line number; bytes not UTF-8, one naming the file.
 
     The lines are split into one chunk per CPU, each of at least ``_LINES_PER_PROCESS``
     lines; this process projects the first chunk and a forked child each of the others,
     so only pickled ``(record_id, value)`` rows cross between processes. A chunk whose
-    child sends back nothing readable is projected again in this process, so the result,
-    or the first exception in line order, is the one a decode in one process gives.
+    child sends back nothing readable, or that no child could be started for, is projected
+    again in this process, so the result, or the first exception in line order, is the one a
+    decode in one process gives.
     """
-    return _map_lines(path, _split_lines(path, Path(path).read_bytes()), project)
+    return _map_lines(path, _split_lines(path, Path(path).read_bytes() if data is None else data), project)
 
 
 def _map_lines(path, lines: list[str], project) -> dict:
@@ -457,7 +480,7 @@ def _map_lines(path, lines: list[str], project) -> dict:
             children.append(_fork_mapper(path, lines[start:stop], start + 1, project))
         rows = _mapped(path, lines[:spans[0][1]], 1, project)
     finally:
-        replies = [_reply(pid, read_fd) for pid, read_fd in children]
+        replies = [_reply(*child) if child else b"" for child in children]
     for (start, stop), reply in zip(spans[1:], replies):  # in line order, so the first failure is the one raised
         try:
             rows += pickle.loads(reply)
@@ -488,35 +511,51 @@ def _cached(rows) -> list[Classification]:
     raise ValueError("not classification rows")
 
 
+def read_keyed(path, digest) -> bytes | None:
+    """The text of the keyed file ``path``, or None if it cannot be read or has another key.
+    Its first line is the key, ``digest`` updated with the text, in hex; the text follows."""
+    try:
+        key, _, text = Path(path).read_bytes().partition(b"\n")
+    except OSError:
+        return None
+    keyed = digest.copy()
+    keyed.update(text)
+    return text if key == keyed.hexdigest().encode() else None
+
+
+def write_keyed(path, digest, text: bytes) -> None:
+    """Write ``text`` to ``path`` through ``replace_file`` as the keyed file that ``read_keyed``
+    reads with ``digest``; a file that cannot be written is left out."""
+    keyed = digest.copy()
+    keyed.update(text)
+    try:
+        replace_file(path, [keyed.hexdigest().encode(), b"\n", text])
+    except OSError as exc:
+        log.debug("%s not kept: %s", path, exc)
+
+
 def load_classifications(path) -> list[Classification]:
     """The ``Classification`` of each record in a store, read as ``map_store`` reads it.
 
-    The rows are kept as JSON in ``<path>.classifications``, after a line holding their key:
-    the sha256 of the decoder's source, the store's bytes and the rows' JSON bytes. So a store
-    read again unchanged is not decoded again, and rows changed in any byte are not served.
-    A sidecar that cannot be read, is not such a file or has another key is ignored, and one
-    that cannot be written is left out: the sidecar never fails a read nor changes what it returns.
+    The rows are kept as JSON in the keyed file ``<path>.classifications``, whose key starts
+    from the sha256 of the decoder's source and the store's bytes. So a store read again
+    unchanged is not decoded again, and rows changed in any byte are not served. A sidecar
+    that cannot be read, is not such a file or has another key is ignored, and one that cannot
+    be written is left out: the sidecar never fails a read nor changes what it returns.
     """
     data = Path(path).read_bytes()  # the one read, both hashed and decoded
     digest = _DECODER_SHA256.copy()
     digest.update(data)
-    sidecar = Path(f"{path}.classifications")
-    try:
-        key, _, text = sidecar.read_bytes().partition(b"\n")
-        keyed = digest.copy()
-        keyed.update(text)
-        if key == keyed.hexdigest().encode():
+    sidecar = f"{path}.classifications"
+    text = read_keyed(sidecar, digest)
+    if text is not None:
+        try:
             return _cached(json.loads(text))
-    except (OSError, ValueError, TypeError, RecursionError):  # a missing or damaged sidecar
-        pass
+        except (ValueError, TypeError, RecursionError):  # a damaged sidecar
+            pass
     project = operator.attrgetter(*Classification._fields)  # plain tuples pickle faster
-    rows = list(_map_lines(path, _split_lines(path, data), project).values())
-    text = json.dumps(rows)
-    digest.update(text.encode())
-    try:
-        replace_file(sidecar, [digest.hexdigest(), "\n", text])
-    except OSError as exc:
-        log.debug("classifications not kept: %s", exc)
+    rows = list(map_store(path, project, data).values())
+    write_keyed(sidecar, digest, json.dumps(rows).encode())
     return list(map(Classification._make, rows))
 
 

@@ -18,8 +18,10 @@ import pytest
 import mathrepo
 from mathrepo import analytics
 from mathrepo.cli import main
+from mathrepo.enrich import read_stamp, stamp_key
 from mathrepo.fixture_server import serve_fixtures
-from mathrepo.records import NameParts, RelatedUrl, load_records, store_records
+from mathrepo.parsers import citation_text
+from mathrepo.records import NameParts, RelatedUrl, load_records, store_records, write_keyed
 
 from support import (
     EUCLID_DC,
@@ -508,10 +510,11 @@ class TestFailedStoreWrite:
         no_child_left()
 
 
-# stdout and store digest of each stage on rewrite_inputs, as the in-process rewrite of full records wrote them
+# stdout and store digest of each stage on rewrite_inputs, as the in-process rewrite of full records wrote them;
+# transform writes its lines enriched with the table, so enrich has nothing left to change
 REWRITE_GOLDEN = {
     "transform": ("transform: 2 parsed, 0 failed, store has 40 records\n",
-                  "f9226cebe5f29cb0034577e21d96abea00c5bf3612c0c79593b4a0f6c53ab74e"),
+                  "f4b8e3d9a0ec629f352d205a6d5e0321ef810b0622faf95af0998846bb628901"),
     "enrich": ("enrich: 8 matched, 20 unmatched, 12 skipped\n",
                "f4b8e3d9a0ec629f352d205a6d5e0321ef810b0622faf95af0998846bb628901"),
 }
@@ -581,14 +584,147 @@ class TestStoreRewrite:
 
         monkeypatch.setattr("mathrepo.records._from_json", killed)
         for stage in ("transform", "enrich"):
+            (tmp_path / "records.jsonl.stamp").unlink(missing_ok=True)  # so enrich decodes the store in full
             assert run(config, stage) == 0
             store = (tmp_path / "records.jsonl").read_bytes()
             assert (capsys.readouterr().out, hashlib.sha256(store).hexdigest()) == REWRITE_GOLDEN[stage]
         no_child_left()
 
 
+def counted_decodes(monkeypatch) -> list:
+    """Count the calls the CLI's stages make to ``map_store``, each a decode of the whole store."""
+    calls, real = [], mathrepo.cli.map_store
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("mathrepo.cli.map_store", counted)
+    return calls
+
+
+class TestEnrichStamp:
+    """With a table, transform writes each line enriched and stamps the store with the outcome
+    counts; enrich on a store whose stamp matches it and the table prints them and writes nothing."""
+
+    def test_second_transform_keeps_what_enrich_added(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        cited = dc_record_xml("oai:x:1", citation=citation_text(YOKOHAMA_JOURNAL, "1", 1998, "43-46"))
+        (spool / "src.xml").write_text(dc_envelope(cited, dc_record_xml("oai:x:2")), encoding="utf-8")
+        table = tmp_path / "mr.tsv"
+        table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
+        config = write_config(tmp_path, endpoints=[], mr_table=str(table))
+        seen = []
+        for stage in ("transform", "enrich", "transform", "enrich"):
+            assert run(config, stage) == 0
+            stored = {rec.oai_identifier: rec.mr_number for rec in load_records(tmp_path / "records.jsonl")}
+            seen.append([stored["oai:x:1"], stored["oai:x:2"]])
+        assert seen == [[1710269, None]] * 4
+
+    def test_hit_prints_and_keeps_what_a_full_enrich_gives(self, tmp_path, monkeypatch, capsys):
+        config = rewrite_inputs(tmp_path)
+        store, stamp = tmp_path / "records.jsonl", tmp_path / "records.jsonl.stamp"
+        assert run(config, "transform") == 0
+        capsys.readouterr()
+        written, inode = store.read_bytes(), store.stat().st_ino
+        stamped = stamp.read_bytes()
+        assert stamped.partition(b"\n")[2] == b'{"matched": 8, "unmatched": 20, "skipped": 12}'
+        decodes = counted_decodes(monkeypatch)
+        assert run(config, "enrich") == 0
+        hit = capsys.readouterr().out
+        assert (decodes, store.stat().st_ino, store.read_bytes(), stamp.read_bytes()) == ([], inode, written, stamped)
+        stamp.unlink()
+        assert run(config, "enrich") == 0  # a full pass, as on a store no stamp vouches for
+        assert len(decodes) == 1
+        assert (capsys.readouterr().out, store.read_bytes(), stamp.read_bytes()) == (hit, written, stamped)
+        assert (hit, hashlib.sha256(written).hexdigest()) == REWRITE_GOLDEN["enrich"]
+        assert not (tmp_path / "records.jsonl.stamp.tmp").exists()
+
+    @pytest.mark.parametrize(
+        "miss",
+        ["table-byte", "mr-table-override", "store-byte", "store-line-end", "store-blank-line",
+         "stamp-truncated", "stamp-garbled", "stamp-not-json", "stamp-not-counts"],
+    )
+    def test_miss_is_a_full_enrich(self, tmp_path, monkeypatch, capsys, miss):
+        outcomes = {}
+        for name in ("stamped", "stamp-less"):
+            directory = tmp_path / name
+            directory.mkdir()
+            config = rewrite_inputs(directory)
+            store, table, stamp = directory / "records.jsonl", directory / "mr.tsv", directory / "records.jsonl.stamp"
+            assert run(config, "transform") == 0
+            argv = ["enrich"]
+            if miss == "table-byte":  # record 15's review number
+                table.write_bytes(table.read_bytes().replace(b"\t1015\t", b"\t1016\t"))
+            elif miss == "mr-table-override":  # the table without record 7's row
+                other = directory / "other.tsv"
+                rows = table.read_bytes().splitlines(True)
+                other.write_bytes(b"".join(row for row in rows if b"\t1007\t" not in row))
+                argv += ["--mr-table", str(other)]
+            elif miss.startswith("store-"):
+                data = store.read_bytes()
+                store.write_bytes({"store-byte": data.replace(b'"Article 3"', b'"Article 4"'),
+                                   "store-line-end": data[:-1], "store-blank-line": data + b"\n"}[miss])
+            if name == "stamp-less":
+                stamp.unlink()
+            elif miss == "stamp-truncated":
+                stamp.write_bytes(stamp.read_bytes()[:-10])
+            elif miss == "stamp-garbled":  # counts changed under the old key
+                stamp.write_bytes(stamp.read_bytes().replace(b'"matched": 8', b'"matched": 9'))
+            elif miss.startswith("stamp-not-"):  # under the right key, so only the text is wrong
+                text = b'{"matched": 8, "unmatched' if miss == "stamp-not-json" else b'{"matched": "8"}'
+                write_keyed(stamp, stamp_key(table.read_bytes(), hashlib.sha256(store.read_bytes()).digest()), text)
+            capsys.readouterr()
+            with monkeypatch.context() as m:
+                decodes = counted_decodes(m)
+                assert run(config, *argv) == 0
+            outcomes[name] = capsys.readouterr().out, store.read_bytes(), stamp.read_bytes(), len(decodes)
+        assert outcomes["stamped"] == outcomes["stamp-less"]
+        assert outcomes["stamped"][3] == 1
+
+    def test_stamp_does_not_match_a_store_changed_in_any_byte(self, tmp_path):
+        config = rewrite_inputs(tmp_path)
+        assert run(config, "transform") == 0
+        store, table = tmp_path / "records.jsonl", (tmp_path / "mr.tsv").read_bytes()
+        data = store.read_bytes()
+        assert read_stamp(store, stamp_key(table, hashlib.sha256(data).digest())) is not None
+        for at in range(len(data)):
+            changed = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+            assert read_stamp(store, stamp_key(table, hashlib.sha256(changed).digest())) is None, at
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "not-utf8"])
+    def test_table_that_cannot_be_loaded_stops_transform_before_any_write(self, tmp_path, caplog, damage):
+        config = rewrite_inputs(tmp_path)
+        table = tmp_path / "mr.tsv"
+        if damage == "missing":
+            table.unlink()
+        else:
+            table.write_bytes(b"J. Test 1\t1\t1991\n" if damage == "malformed" else b"J. Test \xe9\n")
+        before = {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+        assert run(config, "transform") == 1
+        assert str(table) in caplog.text
+        assert {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()} == before
+
+    def test_identical_runs_write_identical_stamps(self, tmp_path):
+        stamps = []
+        for name in ("first", "second"):
+            directory = tmp_path / name
+            directory.mkdir()
+            config = rewrite_inputs(directory)
+            stamp = directory / "records.jsonl.stamp"
+            assert run(config, "transform") == 0
+            transformed = stamp.read_bytes()
+            stamp.unlink()
+            assert run(config, "enrich") == 0
+            stamps.append((transformed, stamp.read_bytes()))
+        assert stamps[0] == stamps[1]
+        assert stamps[0][0] == stamps[0][1]  # transform's stamp is the one a full enrich writes
+
+
 # Runs one stage with argv ``config stage target point`` and SIGKILLs it while it writes ``target``:
-# halfway through the first chunk of its tmp file, just before that file replaces ``target``, or just after.
+# halfway through the first chunk of its tmp file, just before that file replaces ``target``, or just after;
+# or, once it has replaced ``target``, just before the stamp replaces ``<target>.stamp``.
 KILLED_WRITE = """
 import os, signal, sys
 from mathrepo import records
@@ -625,7 +761,7 @@ def dying_open(file, *args, **kwargs):
 
 
 def dying_replace(src, dst):
-    if point == "before-replace" and str(dst) == target:
+    if (point, str(dst)) in (("before-replace", target), ("before-stamp", target + ".stamp")):
         die()
     real_replace(src, dst)
     if point == "after-replace" and str(dst) == target:
@@ -676,6 +812,28 @@ class TestKilledWrite:
         assert run(config, stage) == 0
         assert target.read_bytes() == clean
         assert not Path(f"{target}.tmp").exists()
+
+    @pytest.mark.parametrize("stage", ["transform", "enrich"])
+    def test_kill_between_store_and_stamp_costs_a_full_enrich(self, tmp_path, monkeypatch, capsys, stage):
+        config, store = self.inputs(tmp_path / "clean", stage, None)
+        assert run(config, stage) == 0
+        written = store.read_bytes()
+        Path(f"{store}.stamp").unlink()
+        capsys.readouterr()
+        assert run(config, "enrich") == 0
+        clean = capsys.readouterr().out, store.read_bytes(), Path(f"{store}.stamp").read_bytes()
+        config, store = self.inputs(tmp_path / "killed", stage, None)
+        killed = _python(KILLED_WRITE, str(config), stage, str(store), "before-stamp", check=False)
+        assert killed.returncode == -signal.SIGKILL
+        assert store.read_bytes() == written
+        assert not Path(f"{store}.stamp").exists() and Path(f"{store}.stamp.tmp").exists()
+        decodes = counted_decodes(monkeypatch)
+        assert run(config, "enrich") == 0
+        assert len(decodes) == 1
+        assert (capsys.readouterr().out, store.read_bytes(), Path(f"{store}.stamp").read_bytes()) == clean
+        assert not Path(f"{store}.stamp.tmp").exists()
+        assert run(config, "enrich") == 0  # now vouched for by its stamp
+        assert len(decodes) == 1
 
 
 GOOD_ENDPOINT = {"name": "src", "base_url": "http://127.0.0.1:9/oai", "metadata_prefix": "oai_dc"}
@@ -891,6 +1049,26 @@ class TestEnrichExport:
         out = tmp_path / "out"
         assert len(list(out.glob("*.eprints.xml"))) == 2
         assert len(list(out.glob("*.mets.xml"))) == 2
+
+    def test_export_removes_its_documents_of_records_that_left_the_store(self, tmp_path, capsys):
+        config = self.seed_store(tmp_path)
+        store, out = tmp_path / "records.jsonl", tmp_path / "out"
+        kept, gone = load_records(store)
+        for fmt in ("eprints", "mets", "ore"):
+            assert run(config, "export", "--format", fmt, "--name", gone.record_id) == 0
+        others = [f"{gone.record_id}.ore.atom.xml", "notes.txt", f"{gone.record_id.upper()}.eprints.xml",
+                  f"{gone.record_id}.eprints.xml.bak", f"x{gone.record_id}.eprints.xml"]
+        for name in others[1:]:
+            (out / name).write_text("not export's", encoding="utf-8")
+        store_records([kept], store)
+        assert run(config, "export", "--format", "eprints") == 0
+        mets = [f"{rec.record_id}.mets.xml" for rec in (kept, gone)]
+        assert sorted(p.name for p in out.iterdir()) == sorted([f"{kept.record_id}.eprints.xml", *mets, *others])
+        store_records([], store)
+        capsys.readouterr()
+        assert run(config, "export", "--format", "eprints") == 0
+        assert capsys.readouterr().out == "export: 0 documents\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted([*mets, *others])
 
     def test_export_ore_single_aggregation(self, tmp_path):
         config = self.seed_store(tmp_path)

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -833,6 +834,42 @@ class TestMapStore:
         forks = counted_forks(monkeypatch)
         assert load_records(path) == expected
         assert len(forks) == 2
+        no_child_left()
+
+    @pytest.mark.parametrize("failing", ["pipe", "first-fork", "second-fork"])
+    def test_child_that_cannot_be_started_is_decoded_here(self, tmp_path, monkeypatch, caplog, failing):
+        path = tmp_path / "store.jsonl"
+        thirty_line_store(path)
+        expected = list(records.map_store(path, lambda rec: rec).items())
+        force_fork(monkeypatch)  # lines 1-10 here, 11-20 and 21-31 in children
+        pipes, forks = [], []
+        real_pipe, real_fork = os.pipe, os.fork
+        error = OSError(errno.EMFILE, "Too many open files") if failing == "pipe" else \
+            OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def pipe():
+            if failing == "pipe" and pipes:
+                raise error
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def fork():
+            forks.append(None)
+            if failing == ("first-fork", "second-fork")[len(forks) - 1]:
+                raise error
+            return real_fork()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        with caplog.at_level(logging.DEBUG, logger="mathrepo.records"):
+            assert list(records.map_store(path, lambda rec: rec).items()) == expected
+        span = "11-20" if failing == "first-fork" else "21-31"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: no decoder process: {error}", f"{path}: lines {span} decoded again in this process",
+        ]
+        for fd in itertools.chain.from_iterable(pipes):  # each pipe closed, the one whose fork failed too
+            with pytest.raises(OSError):
+                os.fstat(fd)
         no_child_left()
 
     @pytest.mark.parametrize("reply", ["unpicklable-value", "unpicklable-error", "error-not-rebuilt"])
