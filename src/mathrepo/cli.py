@@ -22,8 +22,8 @@ from .enrich import EnrichReport, enrich_record, load_mr_table, read_stamp, stam
 from .errors import MathRepoError
 from .fixture_server import serve_fixtures
 from .msc import is_msc_code
-from .oai_client import EndpointConfig, HttpTransport, is_file_name, list_records
-from .oai_client import parse_oai_envelope, serialize_envelope
+from .oai_client import EndpointConfig, HttpTransport, envelope_payloads, is_file_name, list_records
+from .oai_client import serialize_envelope
 from .records import _is_http_url, canonicalize, load_classifications, make_record_id, map_store
 from .records import replace_file, store_line, store_lines
 from .serialize import (
@@ -220,7 +220,8 @@ def cmd_transform(args, config: PipelineConfig) -> int:
         return EXIT_PARTIAL
     table = mr_table = None
     if config.mr_table:  # every line is written enriched, so the store keeps what enrich added
-        table, mr_table = Path(config.mr_table).read_bytes(), load_mr_table(config.mr_table)
+        table = Path(config.mr_table).read_bytes()
+        mr_table = load_mr_table(config.mr_table, table)  # the bytes the stamp's key hashes
     project = _line_and_outcome(mr_table, config.store)
     merged = {}  # the one stage that may run without a store: its first run creates it
     if Path(config.store).exists():  # a valid line not in the store's own form is written back in it
@@ -228,12 +229,12 @@ def cmd_transform(args, config: PipelineConfig) -> int:
     parsed = failed = 0
     for envelope_path in envelopes:
         source = envelope_path.stem
-        for oai_rec in parse_oai_envelope(envelope_path.read_bytes()):
+        for oai_rec, payload in envelope_payloads(envelope_path.read_bytes()):
             if oai_rec.deleted:
                 merged.pop(make_record_id(source, oai_rec.identifier), None)
                 continue
             try:
-                rec = canonicalize(oai_rec.payload, source, oai_rec.identifier)
+                rec = canonicalize(payload, source, oai_rec.identifier)
             except MathRepoError as exc:
                 failed += 1
                 log.warning("cannot canonicalize %s: %s", oai_rec.identifier, exc)
@@ -255,7 +256,7 @@ def cmd_enrich(args, config: PipelineConfig) -> int:
         data = None
     report = None if data is None else read_stamp(config.store, stamp_key(table, hashlib.sha256(data).digest()))
     if report is None:  # a store its stamp does not vouch for is enriched in full
-        rows = map_store(config.store, _line_and_outcome(load_mr_table(config.mr_table), config.store), data)
+        rows = map_store(config.store, _line_and_outcome(load_mr_table(config.mr_table, table), config.store), data)
         report = _write_store(rows, config, table)
     print(f"enrich: {report.summary()}")
     return EXIT_OK

@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MathRepoError
 from .msc import is_msc_code
@@ -46,8 +46,7 @@ def normalize_journal(title: str) -> str:
     return " ".join(folded.lower().translate(_PUNCT_TO_SPACE).split())
 
 
-@dataclass(frozen=True)
-class MatchKey:
+class MatchKey(NamedTuple):
     """Join key bridging journal-title spelling differences between the
     harvested records and the lookup table."""
 
@@ -60,36 +59,25 @@ class MatchKey:
         return f"{self.journal_norm}|{self.volume}|{self.year}|{self.spage}"
 
 
-@dataclass(frozen=True)
-class MrEntry:
+class MrEntry(NamedTuple):
+    """A lookup-table row's review number and classification, as ``load_mr_table`` checked them."""
+
     mr_number: int
     msc_primary: str
     msc_secondary: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.mr_number <= 0:
-            raise MrTableError(f"mr_number must be positive: {self.mr_number}")
-        for code in (self.msc_primary, *self.msc_secondary):
-            if not is_msc_code(code):
-                raise MrTableError(f"invalid MSC code: {code!r}")
-
 
 def make_match_key(rec: CanonicalRecord) -> MatchKey | None:
     """Key for a record, or None when publication or year is missing."""
-    if not rec.publication or rec.year is None:
+    year = rec.year
+    if not rec.publication or year is None:
         return None
     match = _SPAGE_RE.match(rec.pagerange)
-    spage = match.group() if match else ""
-    return MatchKey(
-        journal_norm=normalize_journal(rec.publication),
-        volume=rec.volume.strip(),
-        year=rec.year,
-        spage=spage,
-    )
+    return MatchKey(normalize_journal(rec.publication), rec.volume.strip(), year, match.group() if match else "")
 
 
-def load_mr_table(path) -> dict[MatchKey, MrEntry]:
-    """Load the tab-separated lookup table.
+def load_mr_table(path, data: bytes | None = None) -> dict[MatchKey, MrEntry]:
+    """Load the tab-separated lookup table, from ``data`` where the caller has read its bytes.
 
     Columns: journal, volume, year, spage, mr_number, msc_primary,
     semicolon-separated msc_secondary. Lines starting with "#" are
@@ -97,7 +85,7 @@ def load_mr_table(path) -> dict[MatchKey, MrEntry]:
     """
     table: dict[MatchKey, MrEntry] = {}
     first_line: dict[MatchKey, int] = {}
-    for lineno, row in read_table(path, 7, MrTableError):
+    for lineno, row in read_table(path, 7, MrTableError, data):
         journal, volume, year, spage, mr_number, primary, secondary = row
         try:
             key = MatchKey(normalize_journal(journal), volume, int(year), spage)
@@ -109,15 +97,14 @@ def load_mr_table(path) -> dict[MatchKey, MrEntry]:
                 f"{first_line[key]} and {lineno}"
             )
         try:
-            entry = MrEntry(
-                mr_number=int(mr_number),
-                msc_primary=primary,
-                msc_secondary=tuple(c.strip() for c in secondary.split(";") if c.strip()),
-            )
+            entry = MrEntry(int(mr_number), primary, tuple(c.strip() for c in secondary.split(";") if c.strip()))
         except ValueError as exc:
             raise MrTableError(f"{path}:{lineno}: bad mr_number {mr_number!r}") from exc
-        except MrTableError as exc:
-            raise MrTableError(f"{path}:{lineno}: {exc}") from exc
+        if entry.mr_number <= 0:
+            raise MrTableError(f"{path}:{lineno}: mr_number must be positive: {entry.mr_number}")
+        for code in (primary, *entry.msc_secondary):
+            if not is_msc_code(code):
+                raise MrTableError(f"{path}:{lineno}: invalid MSC code: {code!r}")
         table[key] = entry
         first_line[key] = lineno
     return table
@@ -168,22 +155,34 @@ def write_stamp(path, key, report: EnrichReport) -> None:
     write_keyed(f"{path}.stamp", key, json.dumps(vars(report)).encode())
 
 
+def _carries(rec: CanonicalRecord, entry: MrEntry) -> bool:
+    """Whether ``rec`` already holds the entry's review number, every MSC code and the review link."""
+    if rec.mr_number != entry.mr_number or rec.msc_primary != entry.msc_primary:
+        return False
+    for code in entry.msc_secondary:
+        if code not in rec.msc_secondary:
+            return False
+    url = f"{REVIEW_URL_PREFIX}{entry.mr_number}"
+    for link in rec.related_urls:
+        if link.url == url and link.type == "MathSciNet":
+            return True
+    return False
+
+
 def _apply_entry(rec: CanonicalRecord, entry: MrEntry) -> CanonicalRecord:
-    """``rec`` with ``entry`` applied; ``rec`` itself when applying it changes nothing."""
+    """``rec`` with ``entry`` applied; ``rec`` itself when it already carries the entry."""
+    if _carries(rec, entry):
+        return rec
     added = [code for code in dict.fromkeys(entry.msc_secondary) if code not in rec.msc_secondary]
-    secondary = rec.msc_secondary + added
     related = list(rec.related_urls)
     review = RelatedUrl(url=f"{REVIEW_URL_PREFIX}{entry.mr_number}", type="MathSciNet")
     if review not in related:
         related.append(review)
-    merged = (entry.mr_number, entry.msc_primary, secondary, related)
-    if merged == (rec.mr_number, rec.msc_primary, rec.msc_secondary, rec.related_urls):
-        return rec
     return replace(
         rec,
         mr_number=entry.mr_number,
         msc_primary=entry.msc_primary,
-        msc_secondary=secondary,
+        msc_secondary=rec.msc_secondary + added,
         related_urls=related,
     )
 

@@ -119,7 +119,10 @@ def parse_datestamp(value: str) -> datetime:
     raise ValueError(f"bad OAI datestamp: {value!r}")
 
 
-def _record_from_element(elem: ET.Element) -> OaiRecord:
+def _record_from_element(elem: ET.Element, render: bool = True) -> tuple[OaiRecord, ET.Element | str | None]:
+    """The record ``elem`` holds and its payload: the first element child of its ``<metadata>`` (None if deleted
+    or there is none) as text, which the record carries too. Without ``render`` the record carries none, and the
+    payload stays an element where no text follows it, which would make its text malformed."""
     header = first_child(elem, "header")
     if header is None:
         raise EnvelopeError("record element without header")
@@ -127,32 +130,30 @@ def _record_from_element(elem: ET.Element) -> OaiRecord:
         (spec.text or "").strip() for spec in children(header, "setSpec") if (spec.text or "").strip()
     )
     deleted = header.get("status") == "deleted"
-    payload = None
-    if not deleted:
-        metadata = first_child(elem, "metadata")
-        if metadata is not None:
-            inner = next(iter(metadata), None)
-            if inner is not None:
-                payload = ET.tostring(inner, encoding="unicode")
+    metadata = None if deleted else first_child(elem, "metadata")
+    payload = None if metadata is None else next(iter(metadata), None)
+    if payload is not None and (render or (payload.tail or "").strip(" \t\r\n")):  # XML white space is no text
+        payload = ET.tostring(payload, encoding="unicode")
     try:
-        return OaiRecord(
+        record = OaiRecord(
             identifier=text_of(header, "identifier"),  # OaiRecord rejects an empty one
             datestamp=text_of(header, "datestamp"),
             set_specs=set_specs,
-            payload=payload,
+            payload=payload if render else None,
             deleted=deleted,
         )
     except ValueError as exc:
         raise EnvelopeError(str(exc)) from exc
+    return record, payload
 
 
-def _records_in(root: ET.Element) -> list[OaiRecord]:
+def _records_in(root: ET.Element, render: bool = True) -> list[tuple[OaiRecord, ET.Element | str | None]]:
     if local_name(root.tag) == "record":
-        return [_record_from_element(root)]
+        return [_record_from_element(root, render)]
     listing = first_child(root, "ListRecords")
     if listing is None:
         raise EnvelopeError(f"<{local_name(root.tag)}> is neither a record nor a ListRecords response")
-    return [_record_from_element(elem) for elem in children(listing, "record")]
+    return [_record_from_element(elem, render) for elem in children(listing, "record")]
 
 
 def parse_oai_envelope(data) -> list[OaiRecord]:
@@ -162,7 +163,13 @@ def parse_oai_envelope(data) -> list[OaiRecord]:
     the records; anything else is an ``EnvelopeError``. Namespaces are
     ignored.
     """
-    return _records_in(parse_xml(data, EnvelopeError, "envelope XML"))
+    return [rec for rec, _ in _records_in(parse_xml(data, EnvelopeError, "envelope XML"))]
+
+
+def envelope_payloads(data) -> list[tuple[OaiRecord, ET.Element | str | None]]:
+    """Each record ``parse_oai_envelope`` gives, without its payload, and that payload as an element for
+    ``records.canonicalize``, which reads it as it reads its text: none is rendered to be parsed again."""
+    return _records_in(parse_xml(data, EnvelopeError, "envelope XML"), render=False)
 
 
 def _serialize_record(rec: OaiRecord) -> str:
@@ -267,7 +274,7 @@ def _harvest_once(endpoint: EndpointConfig, transport, retries: int) -> list[Oai
             if code == "noRecordsMatch":
                 return list(merged.values())
             raise OaiProtocolError(code, (error.text or "").strip())
-        for rec in _records_in(root):
+        for rec, _ in _records_in(root):
             previous = merged.get(rec.identifier)
             if previous is None or parse_datestamp(rec.datestamp) >= parse_datestamp(previous.datestamp):
                 merged[rec.identifier] = rec

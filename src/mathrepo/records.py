@@ -5,6 +5,7 @@ from __future__ import annotations
 import calendar
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -559,10 +560,12 @@ def load_classifications(path) -> list[Classification]:
     return list(map(Classification._make, rows))
 
 
-def read_table(path, width: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, stripped cells)`` per row of a UTF-8 tab-separated table, skipping empty and "#" rows."""
+def read_table(path, width: int, error: type[Exception], data: bytes | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, stripped cells)`` per row of a UTF-8 tab-separated table, skipping empty and "#" rows;
+    ``data``, where given, is the bytes of ``path``."""
+    source = open(path, "rb") if data is None else io.BytesIO(data)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
                 if not row or row[0].startswith("#"):
                     continue

@@ -1,9 +1,11 @@
 """End-to-end pipeline through the command-line interface."""
 
+import builtins
 import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import signal
@@ -18,12 +20,16 @@ import pytest
 import mathrepo
 from mathrepo import analytics
 from mathrepo.cli import main
-from mathrepo.enrich import read_stamp, stamp_key
+from mathrepo.enrich import enrich, load_mr_table, read_stamp, stamp_key
+from mathrepo.errors import MathRepoError
 from mathrepo.fixture_server import serve_fixtures
 from mathrepo.parsers import citation_text
-from mathrepo.records import NameParts, RelatedUrl, load_records, store_records, write_keyed
+from mathrepo.oai_client import EnvelopeError, parse_oai_envelope
+from mathrepo.records import NameParts, RelatedUrl, canonicalize, load_records, make_record_id, store_records
+from mathrepo.records import write_keyed
 
 from support import (
+    EPRINTS_ARTICLE,
     EUCLID_DC,
     OCHANOMIZU_JUNII2,
     classified_record,
@@ -376,6 +382,111 @@ class TestDeletions:
         assert (tmp_path / "records.jsonl").read_bytes() == before
 
 
+DC_OPEN = (
+    '<oai_dc:dc xmlns:oai_dc="http://www.openarchives.org/OAI/2.0/oai_dc/" '
+    'xmlns:dc="http://purl.org/dc/elements/1.1/">'
+)
+
+
+def metadata_record_xml(ident: str, metadata: str) -> str:
+    """A record whose ``<metadata>`` element holds ``metadata`` as it is written here."""
+    return (
+        f"<record><header><identifier>{ident}</identifier><datestamp>2009-03-01</datestamp></header>"
+        f"<metadata>{metadata}</metadata></record>"
+    )
+
+
+def dc_payload(title: str, url: str) -> str:
+    return f"{DC_OPEN}<dc:title>{title}</dc:title><dc:identifier>{url}</dc:identifier></oai_dc:dc>"
+
+
+# each spooled as written; the mixed envelope adds, deletes and rejects records, and gives
+# payloads what the envelope parse keeps around them: text, elements and character references
+SPOOLS = {
+    "euclid": EUCLID_DC.read_text(encoding="utf-8"),
+    "ocha": OCHANOMIZU_JUNII2.read_text(encoding="utf-8"),
+    "mixed": dc_envelope(
+        dc_record_xml("oai:x:1", citation=citation_text(YOKOHAMA_JOURNAL, "1", 1998, "43-46")),
+        dc_record_xml("oai:x:2"),
+        dc_record_xml("oai:x:3"),
+        deleted_record_xml("oai:x:3"),
+        deleted_record_xml("oai:x:9"),
+        "<record><header><identifier>oai:x:4</identifier><datestamp>2009-02-01</datestamp></header></record>",
+        metadata_record_xml("oai:x:5", ""),
+        metadata_record_xml("oai:x:6", f"{DC_OPEN}<dc:identifier>http://example.org/6</dc:identifier></oai_dc:dc>"),
+        metadata_record_xml("oai:x:7", '<x:meta xmlns:x="http://example.org/x"><x:title>T</x:title></x:meta>'),
+        metadata_record_xml("oai:x:8", dc_payload("Followed by text", "http://example.org/8") + "trailing text"),
+        metadata_record_xml("oai:x:10", dc_payload("Followed by NBSP", "http://example.org/10") + " "),
+        metadata_record_xml("oai:x:11", "\n  " + dc_payload("Spaced", "http://example.org/11") + "\n  <extra/>\n"),
+        metadata_record_xml("oai:x:12", dc_payload("CR&#13;and &amp; &lt;b&gt;", "http://example.org/12") + "&#13;"),
+        metadata_record_xml("oai:x:13", "<!-- a comment -->" + dc_payload("After a comment", "http://example.org/13")),
+        metadata_record_xml(
+            "oai:x:14",
+            '<meta xmlns="http://ju.nii.ac.jp/junii2"><title>J</title><URI>http://example.org/14</URI>'
+            "<volume>x1</volume></meta>",
+        ),
+    ),
+}
+
+
+def transform_from_text_payloads(spool: Path, table_path: Path):
+    """What transform gives for ``spool``, a new store and the table at ``table_path``, computed
+    the way it was before payloads were read as elements: each payload as the text
+    ``parse_oai_envelope`` gives, through ``canonicalize``. Returns the store's bytes, the
+    stamp's counts, the stdout line and the warnings."""
+    merged, warnings, parsed = {}, [], 0
+    for path in sorted(spool.glob("*.xml")):
+        for oai_rec in parse_oai_envelope(path.read_bytes()):
+            if oai_rec.deleted:
+                merged.pop(make_record_id(path.stem, oai_rec.identifier), None)
+                continue
+            try:
+                rec = canonicalize(oai_rec.payload, path.stem, oai_rec.identifier)
+            except MathRepoError as exc:
+                warnings.append(f"cannot canonicalize {oai_rec.identifier}: {exc}")
+                continue
+            merged[rec.record_id] = rec
+            parsed += 1
+    records, report = enrich([merged[record_id] for record_id in sorted(merged)], load_mr_table(table_path))
+    reference = spool.parent / "reference.jsonl"
+    store_records(records, reference)
+    stdout = f"transform: {parsed} parsed, {len(warnings)} failed, store has {len(merged)} records\n"
+    return reference.read_bytes(), report, stdout, warnings
+
+
+class TestSpoolPayloads:
+    """transform reads each spooled payload as the element the envelope parse gives, and writes
+    what reading it as text would: the same store, stamp counts, stdout and warnings."""
+
+    def test_element_payloads_give_what_text_payloads_give(self, tmp_path, caplog, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        for name, text in SPOOLS.items():
+            (spool / f"{name}.xml").write_text(text, encoding="utf-8")
+        table = tmp_path / "mr.tsv"
+        table.write_text(f"{YOKOHAMA_JOURNAL}\t1\t1998\t43\t1710269\t53A35\t53A04\n", encoding="utf-8")
+        store_bytes, report, stdout, warnings = transform_from_text_payloads(spool, table)
+        assert run(write_config(tmp_path, endpoints=[], mr_table=str(table)), "transform") == 0
+        store = tmp_path / "records.jsonl"
+        assert store.read_bytes() == store_bytes
+        assert read_stamp(store, stamp_key(table.read_bytes(), hashlib.sha256(store_bytes).digest())) == report
+        assert capsys.readouterr().out == stdout
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == warnings
+        # every kind of record the mixed envelope holds took part
+        assert (report.matched, len(warnings)) == (1, 7)
+        assert stdout == "transform: 8 parsed, 7 failed, store has 7 records\n"
+
+    def test_spooled_file_that_is_no_envelope_fails_as_before(self, tmp_path, caplog):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "eprints.xml").write_bytes(EPRINTS_ARTICLE.read_bytes())
+        with pytest.raises(EnvelopeError) as info:
+            parse_oai_envelope(EPRINTS_ARTICLE.read_bytes())
+        assert run(write_config(tmp_path, endpoints=[]), "transform") == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [str(info.value)]
+        assert not (tmp_path / "records.jsonl").exists()
+
+
 def stage_inputs(tmp_path):
     """A two-record store, a one-record spool, a lookup table and a totals file, enough
     for every stage but harvest; returns the store path and the config."""
@@ -705,6 +816,27 @@ class TestEnrichStamp:
         assert run(config, "transform") == 1
         assert str(table) in caplog.text
         assert {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()} == before
+
+    @pytest.mark.parametrize("stage", ["transform", "enrich-full", "enrich-stamped"])
+    def test_each_stage_reads_the_table_once(self, tmp_path, monkeypatch, stage):
+        # the stamp's key hashes the bytes the table was loaded from, not a second read
+        config = rewrite_inputs(tmp_path)
+        table = tmp_path / "mr.tsv"
+        if stage != "transform":
+            assert run(config, "transform") == 0
+            if stage == "enrich-full":
+                (tmp_path / "records.jsonl.stamp").unlink()
+        opened, real = [], io.open
+
+        def counted(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == table:
+                opened.append(args[0] if args else kwargs.get("mode", "r"))
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counted)
+        monkeypatch.setattr(builtins, "open", counted)
+        assert run(config, stage.partition("-")[0]) == 0
+        assert opened == ["rb"]
 
     def test_identical_runs_write_identical_stamps(self, tmp_path):
         stamps = []
